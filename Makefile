@@ -4,7 +4,7 @@ PYTHON ?= python
 
 COV_FAIL_UNDER ?= 80
 
-.PHONY: install test test-cosched test-faults test-golden test-harness test-metering test-obs test-validate test-sched test-service test-store validate-smoke sched-smoke serve-smoke metersweep-smoke store-smoke cosched-smoke obs-smoke coverage sweep-smoke smoke-faults bench bench-engine bench-sweep bench-sched bench-service bench-store bench-cosched bench-obs reproduce recalibrate examples clean
+.PHONY: install test test-cosched test-faults test-golden test-harness test-metering test-obs test-validate test-sched test-service test-store validate-smoke sched-smoke serve-smoke metersweep-smoke store-smoke cosched-smoke obs-smoke coverage sweep-smoke smoke-faults bench bench-sweep bench-sched bench-service bench-store bench-cosched bench-obs reproduce recalibrate examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -125,11 +125,6 @@ smoke-faults:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-# Engine hot-path benchmarks vs the committed baseline (read-only; the
-# runner refuses to rewrite BENCH_engine.json without --update).
-bench-engine:
-	$(PYTHON) benchmarks/bench_engine.py
 
 # Serial-vs-parallel sweep benchmark vs the committed baseline
 # (read-only; refuses to rewrite BENCH_sweep.json without --update).

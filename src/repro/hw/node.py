@@ -11,12 +11,21 @@ core changes state, a duty cycle commits).  Every mutation therefore runs:
 
 1. ``_sync()``   — integrate energy/thermal/counters over the interval
    since the last sync and drain in-flight segments at the cached rates;
-2. the mutation itself;
-3. ``_recompute()`` — recompute contention, per-core rates and socket
-   power, and reschedule the next segment-completion event.
+2. the mutation itself, which marks the affected sockets dirty;
+3. a request for ``_recompute()`` — recompute contention, per-core rates
+   and socket power, and reschedule the next segment-completion event.
+   Inside an engine callback the request is deferred to the end of the
+   event (:meth:`~repro.sim.engine.Engine.defer`), so the node re-derives
+   **once per engine event**, however many cores the event touched (a
+   parallel-region start assigns up to 16).  Outside ``Engine.run`` the
+   recompute is eager.
 
 Because power is constant between syncs, energy integration is exact; the
 thermal step uses the closed-form RC solution, also exact per interval.
+Deferral cannot change a bit of that: time does not advance inside a
+callback, so every ``_sync`` after the event's first integrates nothing,
+and the explicit queries (:meth:`Node.refresh`, :meth:`Node.power_w`,
+:meth:`Node.memory_state`) still recompute on demand.
 
 The node knows nothing about tasks, threads or OpenMP — that is the
 runtime's job (:mod:`repro.qthreads`).  Its public surface is "assign this
@@ -113,6 +122,8 @@ class Node:
         self._coh_in_socket: list[int] = [0] * config.sockets
         self._power_temp: list[Optional[float]] = [None] * config.sockets
         self._recompute_now: Optional[float] = None
+        #: A deferred :meth:`_flush` is queued on the engine for this event.
+        self._flush_pending = False
         #: Optional attribution of active-core energy to segment tags
         #: (profiling aid; off by default to keep the sync loop lean).
         self.track_tag_energy = track_tag_energy
@@ -295,6 +306,26 @@ class Node:
                 if coh[t]:
                     dirty[t] = True
 
+    def _request_recompute(self) -> None:
+        """Re-derive after a mutation: once at event end, or now if idle.
+
+        Mutators only mark sockets dirty, so deferral keeps the dirty set
+        exact: a clean socket's ``_coh_in_socket`` is always current, and
+        a dirty one is re-derived from the final state at the flush.
+        """
+        if self._flush_pending:
+            return
+        engine = self.engine
+        if engine.dispatching:
+            self._flush_pending = True
+            engine.defer(self._flush)
+        else:
+            self._recompute()
+
+    def _flush(self) -> None:
+        self._flush_pending = False
+        self._recompute()
+
     def _recompute(self) -> None:
         """Recompute contention, rates and power; reschedule completion.
 
@@ -437,9 +468,10 @@ class Node:
             core.remaining = 0.0
             core.state = CoreState.IDLE
             self._mark_rates_dirty(core.socket, busy_changed=True)
-        # Recompute before callbacks so any state the callbacks observe
-        # (power, contention) reflects the completions.
-        self._recompute()
+        # One deferred re-derivation covers the completions and every
+        # assign() the callbacks make; a callback that queries power or
+        # contention recomputes on demand and sees the completions.
+        self._request_recompute()
         for cb in callbacks:
             if cb is not None:
                 cb()
@@ -469,7 +501,7 @@ class Node:
         core.remaining = segment.solo_seconds
         core.on_complete = on_complete
         self._mark_rates_dirty(core.socket, busy_changed=True)
-        self._recompute()
+        self._request_recompute()
 
     def _set_state(self, core_index: int, state: CoreState) -> None:
         core = self.cores[core_index]
@@ -480,7 +512,7 @@ class Node:
         self._sync()
         core.state = state
         self._mark_rates_dirty(core.socket)
-        self._recompute()
+        self._request_recompute()
 
     def set_idle(self, core_index: int) -> None:
         """Return a core to the hardware-idle (power-gated) state."""
@@ -496,7 +528,7 @@ class Node:
         if duty is not None:
             core.duty = duty
         self._mark_rates_dirty(core.socket)
-        self._recompute()
+        self._request_recompute()
 
     def set_off(self, core_index: int) -> None:
         """Park a core at the OS level (deep C-state, zero power)."""
@@ -514,7 +546,7 @@ class Node:
         core = self.cores[core_index]
         core.duty = duty
         self._mark_rates_dirty(core.socket)
-        self._recompute()
+        self._request_recompute()
 
     def set_sync_probe(self, probe: Optional[Callable[[float], None]]) -> None:
         """Install (or clear, with ``None``) the sync observer.

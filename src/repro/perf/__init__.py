@@ -6,31 +6,26 @@ experiment sweep re-runs the simulator's event loop millions of times, so
 the simulator's own speed bounds how much of the design space we can
 explore.  This package is the repo's answer:
 
-* :mod:`repro.perf.timing` — wall/ns counters and a scenario timer with
-  GC isolation and best-of-N reporting;
 * :mod:`repro.perf.scenarios` — the canonical benchmark scenarios (pure
-  event-drain microbenchmarks and end-to-end paper-table runs) whose
-  results are committed to ``BENCH_engine.json``;
+  event-drain microbenchmarks and end-to-end paper-table runs) and the
+  full-stack builder the golden digests share;
 * :mod:`repro.perf.golden` — golden-trace digests: bit-exact fingerprints
   (energy, time, event counts, MSR values, trace hash) of canonical runs,
   recorded from a known-good build and pinned by the test suite so every
   hot-path optimization is provably behavior-preserving.
 
-The benchmark entry point is ``benchmarks/bench_engine.py`` (or
-``make bench-engine``); the golden suite runs via ``make test-golden``.
+Timing and the per-layer split of the paper sweep come from the
+repository benchmark, ``python3 perfbench/run.py --workload paper-tables
+--trace 1``; the golden suite runs via ``make test-golden``.
 """
 
 from __future__ import annotations
 
-from repro.perf.timing import ScenarioTiming, time_scenario
-from repro.perf.scenarios import BENCH_SCENARIOS, run_bench_scenarios
+from repro.perf.scenarios import BENCH_SCENARIOS
 from repro.perf.golden import GOLDEN_SCENARIOS, compute_digest, compute_all_digests
 
 __all__ = [
-    "ScenarioTiming",
-    "time_scenario",
     "BENCH_SCENARIOS",
-    "run_bench_scenarios",
     "GOLDEN_SCENARIOS",
     "compute_digest",
     "compute_all_digests",

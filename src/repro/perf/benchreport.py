@@ -1,8 +1,8 @@
 """Pure report helpers for the benchmark runners.
 
-The standalone runners in ``benchmarks/`` are thin CLI shells; anything
-that derives numbers from (current, baseline) scenario dicts lives here
-as pure functions so it can be unit-tested without timing anything.
+Anything that derives numbers from (current, baseline) scenario dicts
+lives here as pure functions so it can be unit-tested without timing
+anything.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ Two families:
   what an experiment sweep actually pays per run.
 
 Every scenario is deterministic, so wall time is the only thing that
-varies between runs; :mod:`repro.perf.timing` takes the best of N.
+varies between runs.
 
 The same full-stack builder (:func:`run_stack`) also powers the
 golden-trace digests (:mod:`repro.perf.golden`), so the configuration
@@ -172,9 +172,9 @@ def _scenario_cancel_churn(
     """Cancel/reschedule churn: the fluid-model completion shape of load.
 
     Every fired event schedules a handful of future events and immediately
-    cancels all but one — the node's ``_schedule_completion`` does exactly
-    this on every machine-state change, so dead-entry skipping and heap
-    compaction dominate here.
+    cancels all but one — the node's ``_schedule_completion`` cancels and
+    re-pushes its completion event once per engine event that changed
+    machine state, so dead-entry skipping and heap compaction dominate here.
     """
     engine = Engine()
     fired = [0]
@@ -290,37 +290,11 @@ BENCH_SCENARIOS: dict[str, Callable[[], dict[str, Any]]] = {
     "table1-fib-metered": _scenario_table1_fib_metered,
 }
 
-#: (checked, unchecked) scenario pairs the bench runner reports overhead
-#: for.  A pair member absent from the committed baseline (a scenario
-#: newer than the last ``--update --record-baseline``) must degrade to a
-#: "(new pair; no baseline)" note, never a KeyError — see
+#: (checked, unchecked) scenario pairs whose wall-time delta is the
+#: observer overhead.  A pair member absent from a baseline must degrade
+#: to a "(new pair; no baseline)" note, never a KeyError — see
 #: :func:`repro.perf.benchreport.overhead_report`.
 OVERHEAD_PAIRS: tuple[tuple[str, str], ...] = (
     ("table1-fib-validated", "table1-bots-fib"),
     ("table1-fib-metered", "table1-bots-fib"),
 )
-
-
-def run_bench_scenarios(
-    names: Optional[list[str]] = None,
-    *,
-    repeats: int = 3,
-) -> dict[str, "Any"]:
-    """Time the named scenarios (all of them by default).
-
-    Returns ``{name: ScenarioTiming}`` in registry order.
-    """
-    from repro.perf.timing import time_scenario
-
-    if names is None:
-        names = list(BENCH_SCENARIOS)
-    unknown = [n for n in names if n not in BENCH_SCENARIOS]
-    if unknown:
-        raise KeyError(
-            f"unknown scenario(s) {', '.join(unknown)}; "
-            f"one of {', '.join(BENCH_SCENARIOS)}"
-        )
-    return {
-        name: time_scenario(name, BENCH_SCENARIOS[name], repeats=repeats)
-        for name in names
-    }

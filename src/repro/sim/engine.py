@@ -27,6 +27,12 @@ Design notes
   clock between them: the clock only advances when the next event's time
   actually differs, so completion bursts and daemon phase boundaries (many
   events at one instant) pay one clock update per instant, not per event.
+* Post-event hooks (:meth:`Engine.defer`) let a model coalesce work that
+  several mutations inside one callback would each trigger: a hook
+  registered while a callback runs fires once that callback returns,
+  before any probe observes the post-event state.  Time cannot advance
+  inside a callback, so deferring to the end of the event is invisible to
+  anything integrated over time.
 """
 
 from __future__ import annotations
@@ -62,6 +68,12 @@ class Engine:
         #: event callback returns.  The list is mutated in place so the
         #: hoisted alias in :meth:`run` observes attach/detach mid-run.
         self._probes: list[Callable[[float, ScheduledEvent], Any]] = []
+        #: Hooks registered with :meth:`defer`, drained after each callback.
+        #: Mutated in place, like ``_probes``, for the alias in :meth:`run`.
+        self._post_event: list[Callable[[], Any]] = []
+        #: True while :meth:`run` or :meth:`step` is dispatching events;
+        #: :meth:`defer` is only legal then.
+        self.dispatching = False
 
     # ------------------------------------------------------------------
     # scheduling
@@ -134,6 +146,31 @@ class Engine:
         except ValueError:
             pass
 
+    # ------------------------------------------------------------------
+    # post-event hooks (work coalescing)
+    # ------------------------------------------------------------------
+    def defer(self, hook: Callable[[], Any]) -> None:
+        """Run ``hook()`` once the current event callback returns.
+
+        Hooks fire in registration order, after the callback and before
+        the probes, in both :meth:`run` and :meth:`step`; a hook may defer
+        further hooks, which drain in the same pass.  A callback that
+        raises still gets its hooks drained, so a caller's "flush pending"
+        bookkeeping can never be stranded.  Calling this outside event
+        dispatch is an error: there is no event end to defer to, and the
+        caller should do the work eagerly (see :attr:`dispatching`).
+        """
+        if not self.dispatching:
+            raise SimulationError("defer() called outside event dispatch")
+        self._post_event.append(hook)
+
+    def _drain_post_event(self) -> None:
+        hooks = self._post_event
+        while hooks:
+            # One at a time, so a raising hook leaves the rest queued for
+            # the drain in the caller's ``finally``.
+            hooks.pop(0)()
+
     def _note_cancel(self) -> None:
         self._cancelled += 1
         if (
@@ -188,7 +225,15 @@ class Engine:
         event.cancelled = True  # consumed: late cancel() is now a no-op
         if self.trace.enabled:
             self.trace.record(time, "event", event.label)
-        event.callback()
+        outer = self.dispatching
+        self.dispatching = True
+        try:
+            event.callback()
+        finally:
+            try:
+                self._drain_post_event()
+            finally:
+                self.dispatching = outer
         if self._probes:
             for probe in self._probes:
                 probe(time, event)
@@ -208,6 +253,7 @@ class Engine:
         if self._running:
             raise SimulationError("engine is not reentrant: run() called from a callback")
         self._running = True
+        self.dispatching = True
         self._stop_requested = False
         if max_events is None:
             budget = -1  # negative: unlimited
@@ -220,6 +266,7 @@ class Engine:
         fired = self._fired
         now = clock.now
         probes = self._probes  # in-place list: alias sees attach/detach
+        post_event = self._post_event  # in-place list, like probes
         try:
             while not self._stop_requested:
                 head = None
@@ -249,6 +296,8 @@ class Engine:
                 if trace.enabled:
                     trace.record(time, "event", event.label)
                 event.callback()
+                if post_event:
+                    self._drain_post_event()
                 if probes:
                     for probe in probes:
                         probe(time, event)
@@ -256,7 +305,12 @@ class Engine:
                 clock.advance_to(until)
         finally:
             self._fired = fired
-            self._running = False
+            try:
+                # A raising callback skipped the inline drain above.
+                self._drain_post_event()
+            finally:
+                self.dispatching = False
+                self._running = False
         return clock.now
 
     def stop(self) -> None:

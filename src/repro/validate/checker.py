@@ -10,7 +10,8 @@ and :class:`~repro.hw.node.Node` pair through two read-only hooks:
   conservation checks are exact float equality, not tolerance bands;
 * the engine's *event probe* fires after every callback returns, when
   the model is in a consistent post-event state, and checks event-queue
-  accounting.
+  accounting and that the node's deferred once-per-event re-derivation
+  has been flushed.
 
 Every ``interval_s`` of simulated time the checker runs the full
 invariant battery (see :meth:`InvariantChecker.check_now`).  The checker
@@ -158,6 +159,19 @@ class InvariantChecker:
                 time_s=time,
             )
         self._last_event_time = time
+        # The engine drains post-event hooks before probes fire, so a
+        # node still owing its deferred re-derivation here would carry
+        # stale rates and power into the next interval's integration.
+        node = self._node
+        assert node is not None
+        self._tally("deferred-recompute")
+        if node._flush_pending:
+            self._record(
+                "deferred-recompute",
+                "model",
+                "node has a deferred recompute outstanding after the event",
+                time_s=time,
+            )
         if time - self._last_battery >= self.interval_s:
             self.check_now()
 

@@ -1,6 +1,7 @@
 """Regression tests for the bench overhead report (``benchreport``).
 
-The historical bug: ``bench_engine.py`` indexed the committed baseline
+The historical bug: the engine bench runner (since retired in favour of
+``perfbench``) indexed the committed baseline
 directly for every ``OVERHEAD_PAIRS`` member, so the first read-only run
 after adding a new paired scenario (whose baseline had not been recorded
 yet) died with ``KeyError`` instead of printing per-scenario deltas.

@@ -171,3 +171,87 @@ def test_determinism_two_identical_runs():
         return log
 
     assert build() == build()
+
+
+# ----------------------------------------------------------------------
+# post-event hooks (Engine.defer)
+# ----------------------------------------------------------------------
+def _hook_order_log(eng):
+    """Event whose callback defers two hooks; a probe logs after them."""
+    log = []
+
+    def callback():
+        log.append("callback")
+        eng.defer(lambda: log.append("hook1"))
+        eng.defer(lambda: log.append("hook2"))
+        log.append("callback-end")
+
+    eng.add_probe(lambda time, event: log.append("probe"))
+    eng.schedule(1.0, callback)
+    return log
+
+
+def test_deferred_hooks_run_after_callback_before_probes_in_run():
+    eng = Engine()
+    log = _hook_order_log(eng)
+    eng.run()
+    assert log == ["callback", "callback-end", "hook1", "hook2", "probe"]
+    assert not eng.dispatching
+
+
+def test_deferred_hooks_run_after_callback_before_probes_in_step():
+    eng = Engine()
+    log = _hook_order_log(eng)
+    assert eng.step()
+    assert log == ["callback", "callback-end", "hook1", "hook2", "probe"]
+    assert not eng.dispatching
+
+
+def test_hooks_deferred_by_hooks_drain_in_the_same_pass():
+    eng = Engine()
+    log = []
+
+    def first_hook():
+        log.append("first")
+        eng.defer(lambda: log.append("second"))
+
+    eng.schedule(1.0, lambda: eng.defer(first_hook))
+    eng.add_probe(lambda time, event: log.append("probe"))
+    eng.run()
+    assert log == ["first", "second", "probe"]
+
+
+def test_hooks_fire_once_per_event():
+    eng = Engine()
+    counts = []
+    for t in (1.0, 1.0, 2.0):
+        eng.schedule(t, lambda: eng.defer(lambda: counts.append(eng.now)))
+    eng.run()
+    assert counts == [1.0, 1.0, 2.0]
+
+
+def test_defer_outside_dispatch_is_an_error():
+    eng = Engine()
+    with pytest.raises(SimulationError, match="outside event dispatch"):
+        eng.defer(lambda: None)
+
+
+@pytest.mark.parametrize("entry", ["run", "step"])
+def test_raising_callback_still_drains_its_hooks(entry):
+    eng = Engine()
+    drained = []
+
+    def boom():
+        eng.defer(lambda: drained.append(eng.now))
+        raise RuntimeError("boom")
+
+    eng.schedule(1.0, boom)
+    with pytest.raises(RuntimeError, match="boom"):
+        eng.run() if entry == "run" else eng.step()
+    assert drained == [1.0]
+    assert eng._post_event == []
+    assert not eng.dispatching
+    # The engine stays usable: the next event defers and drains normally.
+    eng.schedule(1.0, lambda: eng.defer(lambda: drained.append(eng.now)))
+    eng.run()
+    assert drained == [1.0, 2.0]

@@ -44,6 +44,7 @@ RUNTIME_INVARIANTS = frozenset(
         "aperf-mperf",
         "duty-legality",
         "clockmod-legality",
+        "deferred-recompute",
     }
 )
 
@@ -194,6 +195,22 @@ def test_tripwire_rate_coherence() -> None:
         node.cores[0].mem_wall_fraction += 0.25
 
     assert_trips(tamper, "rate-coherence")
+
+
+def test_tripwire_deferred_recompute() -> None:
+    """A skipped post-event drain leaves the node's flush outstanding."""
+
+    def tamper(node):
+        engine = node.engine
+
+        def skip_once():
+            del engine._drain_post_event  # later events drain normally
+
+        engine._drain_post_event = skip_once
+        node.set_duty(0, node.cores[0].duty)  # requests a deferred flush
+
+    checker = assert_trips(tamper, "deferred-recompute")
+    assert checker.violation_counts["deferred-recompute"] == 1
 
 
 # ----------------------------------------------------------------------
