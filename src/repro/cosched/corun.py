@@ -25,7 +25,7 @@ from repro.qthreads.api import Spawn, Taskwait
 from repro.rcr import Blackboard, RCRDaemon, RegionClient
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.validate.checker import InvariantChecker
+    from repro.experiments.runner import Observer
 
 
 @dataclass(frozen=True)
@@ -76,15 +76,17 @@ def _level_kwargs(app: str, level: float) -> dict[str, float]:
 def run_corun(
     spec: CoschedSpec,
     *,
-    checker: Optional["InvariantChecker"] = None,
+    observer: Optional["Observer"] = None,
     machine: MachineConfig = PAPER_MACHINE,
 ) -> CoschedRecord:
     """Run one co-run spec and measure both programs' regions.
 
     Top-level and all-scalar in/out, so the harness can fan it out over
-    a process pool.  ``checker`` optionally attaches an
-    :class:`~repro.validate.checker.InvariantChecker` for the run; the
-    checker observes read-only, so a checked run is bit-identical.
+    a process pool.  ``observer`` (e.g. an
+    :class:`~repro.validate.checker.InvariantChecker`) is attached to the
+    shared node for the run, as in
+    :func:`~repro.experiments.runner.run_measurement`; the checker
+    observes read-only, so a checked run is bit-identical.
     """
     t0 = time.perf_counter()
     runtime = Runtime(
@@ -93,8 +95,8 @@ def run_corun(
         seed=spec.seed,
         warm=True,
     )
-    if checker is not None:
-        checker.attach(runtime.engine, runtime.node)
+    if observer is not None:
+        observer.attach(runtime.engine, runtime.node)
     blackboard = Blackboard()
     daemon = RCRDaemon(runtime.engine, runtime.node, blackboard)
     daemon.start()
@@ -142,8 +144,8 @@ def run_corun(
         run = runtime.run(root(), label=spec.describe())
     finally:
         daemon.stop()
-        if checker is not None:
-            checker.detach()
+        if observer is not None:
+            observer.detach()
 
     app_region = regions["app"]
     inj_region = regions.get("inj")

@@ -17,14 +17,12 @@ measures each injector's solo runtime for the intensity calculation.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, ClassVar, Optional
 
 from repro.apps.injectors import MAX_LEVEL
 from repro.errors import ConfigError
+from repro.harness.spec import Spec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cosched.corun import CoschedRecord
@@ -37,8 +35,10 @@ COSCHED_SPEC_SCHEMA = "cosched-1"
 
 
 @dataclass(frozen=True)
-class CoschedSpec:
+class CoschedSpec(Spec):
     """One fully-specified co-run on a shared simulated node."""
+
+    KIND: ClassVar[str] = "cosched"
 
     app: str = "mergesort"
     #: Contention injector co-runner (None = solo baseline run).
@@ -124,19 +124,6 @@ class CoschedSpec:
             "optlevel": self.optlevel,
         }
 
-    def canonical(self) -> str:
-        return json.dumps(self.payload_dict(), sort_keys=True,
-                          separators=(",", ":"))
-
-    @property
-    def digest(self) -> str:
-        """Stable SHA-256 content digest (hex)."""
-        memo = self.__dict__.get("_digest")
-        if memo is None:
-            memo = hashlib.sha256(self.canonical().encode()).hexdigest()
-            object.__setattr__(self, "_digest", memo)
-        return memo
-
     # ------------------------------------------------------------------
     # execution / display
     # ------------------------------------------------------------------
@@ -145,7 +132,7 @@ class CoschedSpec:
         return self.injector is None
 
     def execute(self) -> "CoschedRecord":
-        """Run this spec in-process (the executor's self-execution hook)."""
+        """Run this spec in-process through :func:`run_corun`."""
         from repro.cosched.corun import run_corun
 
         return run_corun(self)
@@ -153,25 +140,17 @@ class CoschedSpec:
     def validate_execute(
         self, *, interval_s: float = 0.1
     ) -> tuple["CoschedRecord", "ValidationReport"]:
-        """Run under the invariant checker (the validate-mode hook).
+        """Run under the invariant checker.
 
         The checker observes through read-only probes, so the returned
         record is bit-identical to an unchecked :meth:`execute`.
         """
         from repro.cosched.corun import run_corun
         from repro.validate.checker import InvariantChecker
-        from repro.validate.violations import ValidationReport
 
         checker = InvariantChecker(interval_s=interval_s)
-        record = run_corun(self, checker=checker)
-        return record, ValidationReport(
-            spec=self,
-            violations=tuple(checker.violations),
-            checks=dict(checker.checks),
-            batteries=checker.batteries,
-            syncs=checker.syncs,
-            events=checker.events,
-        )
+        record = run_corun(self, observer=checker)
+        return record, checker.report(self, checker.violations)
 
     def describe(self) -> str:
         if self.label:
@@ -186,6 +165,3 @@ class CoschedSpec:
         if self.seed:
             text += f" seed={self.seed}"
         return text
-
-    def with_label(self, label: str) -> "CoschedSpec":
-        return dataclasses.replace(self, label=label)

@@ -15,7 +15,7 @@ attached so tests can verify the measurement path against it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Protocol
 
 from repro.apps import app_profile, build_app
 from repro.calibration.profiles import WorkloadProfile
@@ -36,7 +36,16 @@ from repro.rcr import Blackboard, RCRDaemon, RegionClient, RegionReport
 from repro.throttle import ThrottleController
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.validate.checker import InvariantChecker
+    from repro.hw.node import Node
+    from repro.sim.engine import Engine
+
+
+class Observer(Protocol):
+    """Hook attached around one run (see :func:`run_measurement`)."""
+
+    def attach(self, engine: "Engine", node: "Node") -> None: ...
+
+    def detach(self) -> None: ...
 
 
 @dataclass
@@ -99,7 +108,7 @@ def run_measurement(
     faults: Optional[FaultConfig] = None,
     meter: Optional[MeterConfig] = None,
     app_kwargs: Optional[dict] = None,
-    checker: Optional["InvariantChecker"] = None,
+    observer: Optional["Observer"] = None,
 ) -> MeasurementResult:
     """Run one application through the full measurement stack.
 
@@ -111,11 +120,13 @@ def run_measurement(
     cadence and observer-overhead cost (see :mod:`repro.metering`); an
     absent or inert config is likewise bit-identical to the default.
 
-    ``checker`` optionally attaches a :class:`repro.validate.checker.InvariantChecker`
-    for the duration of the run.  The checker observes through read-only
-    probes, so a checked run produces bit-identical results to an
-    unchecked one; it is detached (running its final invariant battery)
-    even if the run raises.
+    ``observer`` is attached to the run's engine and node before any
+    event fires (``observer.attach(engine, node)``) and detached after it,
+    even if the run raises.  The
+    :class:`~repro.validate.checker.InvariantChecker` is one (its detach
+    runs the final invariant battery); the golden digests use another to
+    switch on the event trace.  An observer that only reads through probes
+    leaves the run bit-identical to an unobserved one.
     """
     if profile is None:
         profile = app_profile(app, compiler, optlevel, machine)
@@ -125,8 +136,8 @@ def run_measurement(
         seed=seed,
         warm=warm,
     )
-    if checker is not None:
-        checker.attach(runtime.engine, runtime.node)
+    if observer is not None:
+        observer.attach(runtime.engine, runtime.node)
     injector = None
     if faults is not None and not faults.inert:
         injector = FaultInjector(
@@ -162,8 +173,8 @@ def run_measurement(
         daemon.stop()
         if controller is not None:
             controller.stop()
-        if checker is not None:
-            checker.detach()
+        if observer is not None:
+            observer.detach()
     return MeasurementResult(
         app=app,
         compiler=compiler,

@@ -1,8 +1,7 @@
 """Spec execution: serial, or fanned out over a process pool.
 
-:func:`execute_spec` is the one code path that turns a
-:class:`~repro.harness.spec.RunSpec` into a
-:class:`~repro.harness.record.MeasurementRecord` — the serial loop, the
+:func:`execute_spec` is the one code path that turns a spec of any kind
+(:class:`~repro.harness.spec.Spec`) into its record — the serial loop, the
 pool workers, the smoke test and the benchmarks all call it, which is
 what makes "parallel is bit-identical to serial" a checkable property
 rather than a hope.
@@ -47,38 +46,23 @@ from repro.errors import HarnessError, SweepCancelled, WorkerCrashed, WorkerTime
 from repro.harness import telemetry as tel
 from repro.harness.cache import ResultCache
 from repro.harness.record import MeasurementRecord
-from repro.harness.spec import RunSpec
+from repro.harness.spec import Spec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.validate.violations import ValidationReport
 
 
-def execute_spec(spec: RunSpec) -> MeasurementRecord:
-    """Run one spec in-process and project the result onto a record.
-
-    Specs that know how to run themselves (``SchedSpec`` and any future
-    kind exposing an ``execute()`` method returning a picklable record
-    with ``time_s`` / ``energy_j`` / ``watts`` / ``wall_s``) short-circuit
-    here; plain :class:`RunSpec` maps onto ``run_measurement``.
-    """
-    execute = getattr(spec, "execute", None)
-    if execute is not None:
-        return execute()
-    from repro.experiments.runner import run_measurement
-
-    t0 = time.perf_counter()
-    result = run_measurement(**spec.to_kwargs())
-    return MeasurementRecord.from_result(
-        spec, result, wall_s=time.perf_counter() - t0
-    )
+def execute_spec(spec: Spec) -> MeasurementRecord:
+    """Run one spec of any kind in-process (:meth:`Spec.execute`)."""
+    return spec.execute()
 
 
-def _plain_entry(spec: RunSpec) -> tuple[MeasurementRecord, None]:
+def _plain_entry(spec: Spec) -> tuple[MeasurementRecord, None]:
     """Pool/serial entry for normal sweeps (no validation report)."""
     return execute_spec(spec), None
 
 
-def _validated_entry(spec: RunSpec) -> "tuple[MeasurementRecord, ValidationReport]":
+def _validated_entry(spec: Spec) -> "tuple[MeasurementRecord, ValidationReport]":
     """Pool/serial entry for validate-mode sweeps.
 
     Top-level (picklable) so the process pool can ship it; the report is
@@ -156,7 +140,7 @@ def _kill_process(proc, grace_s: float) -> None:
 
 
 def run_spec_subprocess(
-    spec: RunSpec,
+    spec: Spec,
     *,
     timeout_s: Optional[float] = None,
     entry: Callable = _plain_entry,
@@ -215,7 +199,7 @@ def run_spec_subprocess(
 
 
 class BatchExecutor:
-    """Fans :class:`RunSpec` batches out to workers, cache-first.
+    """Fans spec batches out to workers, cache-first.
 
     ``workers <= 1`` executes serially in-process (the deterministic
     reference path); ``workers >= 2`` uses a process pool.  ``cache``
@@ -304,7 +288,7 @@ class BatchExecutor:
     # ------------------------------------------------------------------
     def run(
         self,
-        specs: Sequence[RunSpec],
+        specs: Sequence[Spec],
         *,
         sweep: str = "sweep",
         cancel: Optional[threading.Event] = None,
@@ -602,7 +586,7 @@ class BatchExecutor:
                 f"{len(queue)} lost runs"))
 
     # ------------------------------------------------------------------
-    def run_one(self, spec: RunSpec, *, sweep: str = "run") -> MeasurementRecord:
+    def run_one(self, spec: Spec, *, sweep: str = "run") -> MeasurementRecord:
         """Single-spec convenience wrapper over :meth:`run`."""
         return self.run([spec], sweep=sweep)[0]
 

@@ -12,6 +12,12 @@ across processes, Python versions and field declaration order.  The
 display ``label`` is explicitly excluded from digest, equality and hash:
 two sweeps that run the same configuration under different headings
 share one cache entry.
+
+:class:`Spec` is the protocol every spec kind (:class:`RunSpec`,
+:class:`~repro.sched.spec.SchedSpec`, :class:`~repro.cosched.spec.CoschedSpec`)
+implements: a ``KIND`` tag for the wire and journal, the shared digest
+and label machinery, and the two ways to run — :meth:`Spec.execute` and,
+under the invariant checker, :meth:`Spec.validate_execute`.
 """
 
 from __future__ import annotations
@@ -19,20 +25,72 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import time
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, ClassVar, Optional
 
 from repro.config import FaultConfig, MeterConfig, ThrottleConfig
 from repro.errors import ConfigError
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.harness.record import MeasurementRecord
+    from repro.validate.violations import ValidationReport
 
 #: Bump when the spec schema (or run_measurement semantics it maps onto)
 #: changes incompatibly; it is folded into every digest.
 SPEC_SCHEMA = 1
 
 
+class Spec:
+    """Base of every spec kind: identity, display label and execution.
+
+    Subclasses are frozen dataclasses with a display-only ``label`` field;
+    they set :attr:`KIND` and implement :meth:`payload_dict`,
+    :meth:`execute` and :meth:`validate_execute`.
+    """
+
+    #: Wire and journal tag of the kind (``run``, ``sched``, ``cosched``).
+    KIND: ClassVar[str]
+
+    def payload_dict(self) -> dict[str, Any]:
+        """The digestable content: every field that affects the result."""
+        raise NotImplementedError
+
+    def canonical(self) -> str:
+        """Canonical JSON rendering (sorted keys, no whitespace)."""
+        return json.dumps(self.payload_dict(), sort_keys=True,
+                          separators=(",", ":"))
+
+    @property
+    def digest(self) -> str:
+        """Stable SHA-256 content digest (hex)."""
+        memo = self.__dict__.get("_digest")
+        if memo is None:
+            memo = hashlib.sha256(self.canonical().encode()).hexdigest()
+            object.__setattr__(self, "_digest", memo)
+        return memo
+
+    def with_label(self, label: str):
+        return dataclasses.replace(self, label=label)
+
+    def execute(self) -> Any:
+        """Run in-process; returns a picklable record with ``time_s`` /
+        ``energy_j`` / ``watts`` / ``wall_s``."""
+        raise NotImplementedError
+
+    def validate_execute(
+        self, *, interval_s: float = 0.1
+    ) -> "tuple[Any, ValidationReport]":
+        """Run and audit: ``(record, report)``, with the record
+        bit-identical to :meth:`execute`'s."""
+        raise NotImplementedError
+
+
 @dataclass(frozen=True)
-class RunSpec:
+class RunSpec(Spec):
     """One fully-specified measured execution."""
+
+    KIND: ClassVar[str] = "run"
 
     app: str
     compiler: str = "gcc"
@@ -96,20 +154,6 @@ class RunSpec:
             payload["meter"] = dataclasses.asdict(self.meter)
         return payload
 
-    def canonical(self) -> str:
-        """Canonical JSON rendering (sorted keys, no whitespace)."""
-        return json.dumps(self.payload_dict(), sort_keys=True,
-                          separators=(",", ":"))
-
-    @property
-    def digest(self) -> str:
-        """Stable SHA-256 content digest (hex)."""
-        memo = self.__dict__.get("_digest")
-        if memo is None:
-            memo = hashlib.sha256(self.canonical().encode()).hexdigest()
-            object.__setattr__(self, "_digest", memo)
-        return memo
-
     # ------------------------------------------------------------------
     # execution / display
     # ------------------------------------------------------------------
@@ -130,6 +174,44 @@ class RunSpec:
             "meter": self.meter,
         }
 
+    def execute(self) -> "MeasurementRecord":
+        """Run through :func:`run_measurement` and project onto a record."""
+        from repro.experiments.runner import run_measurement
+        from repro.harness.record import MeasurementRecord
+
+        t0 = time.perf_counter()
+        result = run_measurement(**self.to_kwargs())
+        return MeasurementRecord.from_result(
+            self, result, wall_s=time.perf_counter() - t0
+        )
+
+    def validate_execute(
+        self, *, interval_s: float = 0.1
+    ) -> "tuple[MeasurementRecord, ValidationReport]":
+        """Run under the invariant checker and audit the record's books.
+
+        Violations are classified against the spec's fault and meter
+        configs, so only the ones those knobs cannot explain count as
+        unexpected.
+        """
+        from repro.experiments.runner import run_measurement
+        from repro.faults.expectations import classify_violations
+        from repro.harness.record import MeasurementRecord
+        from repro.validate.checker import InvariantChecker
+        from repro.validate.records import check_record
+
+        checker = InvariantChecker(interval_s=interval_s)
+        t0 = time.perf_counter()
+        result = run_measurement(**self.to_kwargs(), observer=checker)
+        record = MeasurementRecord.from_result(
+            self, result, wall_s=time.perf_counter() - t0
+        )
+        violations = [*checker.violations, *check_record(record)]
+        return record, checker.report(
+            self,
+            classify_violations(violations, self.faults, meter=self.meter),
+        )
+
     def describe(self) -> str:
         """``label`` if set, else a compact auto-description."""
         if self.label:
@@ -144,6 +226,3 @@ class RunSpec:
         if self.seed:
             text += f" seed={self.seed}"
         return text
-
-    def with_label(self, label: str) -> "RunSpec":
-        return dataclasses.replace(self, label=label)

@@ -1,32 +1,17 @@
-"""Performance instrumentation for the simulator itself.
+"""Performance guards for the simulator itself.
 
-The paper's central warning — that measurement overhead distorts the
-quantity being measured — applies to this reproduction too: every
-experiment sweep re-runs the simulator's event loop millions of times, so
-the simulator's own speed bounds how much of the design space we can
-explore.  This package is the repo's answer:
-
-* :mod:`repro.perf.scenarios` — the canonical benchmark scenarios (pure
-  event-drain microbenchmarks and end-to-end paper-table runs) and the
-  full-stack builder the golden digests share;
-* :mod:`repro.perf.golden` — golden-trace digests: bit-exact fingerprints
-  (energy, time, event counts, MSR values, trace hash) of canonical runs,
-  recorded from a known-good build and pinned by the test suite so every
-  hot-path optimization is provably behavior-preserving.
+Every experiment sweep re-runs the simulator's event loop millions of
+times, so hot-path optimization is routine here — and the paper's own
+warning, that measurement must not distort what it measures, applies to
+it.  :mod:`repro.perf.golden` is the guard: bit-exact digests (energy,
+time, event counts, MSR values, trace hash) of canonical
+:func:`~repro.experiments.runner.run_measurement` runs, recorded from a
+known-good build and pinned by the test suite, so every optimization is
+provably behavior-preserving.  The golden suite runs via
+``make test-golden``.
 
 Timing and the per-layer split of the paper sweep come from the
 repository benchmark, ``python3 perfbench/run.py --workload paper-tables
---trace 1``; the golden suite runs via ``make test-golden``.
+--trace 1``.  The invariant checker's own overhead is not currently
+benchmarked: ``perfbench`` times the unchecked path only.
 """
-
-from __future__ import annotations
-
-from repro.perf.scenarios import BENCH_SCENARIOS
-from repro.perf.golden import GOLDEN_SCENARIOS, compute_digest, compute_all_digests
-
-__all__ = [
-    "BENCH_SCENARIOS",
-    "GOLDEN_SCENARIOS",
-    "compute_digest",
-    "compute_all_digests",
-]

@@ -22,6 +22,10 @@ one ULP of energy, a different number of daemon ticks — fails the suite.
 That is what makes hot-path optimizations safe to ship: they must
 reproduce these runs bit for bit.
 
+Every scenario is a plain :func:`~repro.experiments.runner.run_measurement`
+call — the path every Table cell takes — with a :class:`TraceObserver`
+switching on the event trace, so the pinned path is the production path.
+
 The three canonical scenarios cover the three main engine loads:
 
 * ``fib-bots`` — a BOTS task-recursion run (scheduler-heavy);
@@ -41,7 +45,8 @@ import sys
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.perf.scenarios import StackResult, run_stack
+from repro.experiments.runner import MeasurementResult, run_measurement
+from repro.sim.trace import Trace
 
 #: Default location of the pinned digests (inside the test tree, next to
 #: the suite that asserts them).
@@ -50,24 +55,38 @@ DEFAULT_DIGEST_PATH = (
 )
 
 
-def _scenario_fib_bots() -> StackResult:
-    return run_stack("bots-fib", threads=16, trace=True)
+class TraceObserver:
+    """Run observer that switches on the engine's full event trace.
+
+    Attached by :func:`run_measurement` before any event fires, so the
+    trace covers the whole run; it only records fired events, so the run
+    itself is unchanged.
+    """
+
+    def attach(self, engine, node) -> None:
+        engine.trace = Trace(enabled=True, capacity=300_000)
+
+    def detach(self) -> None:
+        pass
 
 
-def _scenario_lulesh_throttled() -> StackResult:
-    return run_stack("lulesh", threads=16, throttle=True, scale=0.35, trace=True)
+def _scenario_fib_bots() -> MeasurementResult:
+    return run_measurement("bots-fib", observer=TraceObserver())
 
 
-def _scenario_faultsweep_inert() -> StackResult:
+def _scenario_lulesh_throttled() -> MeasurementResult:
+    return run_measurement("lulesh", throttle=True, scale=0.35,
+                           observer=TraceObserver())
+
+
+def _scenario_faultsweep_inert() -> MeasurementResult:
     from repro.faults import PROFILES
 
-    return run_stack(
-        "dijkstra", threads=16, throttle=True, faults=PROFILES["none"],
-        seed=0, trace=True,
-    )
+    return run_measurement("dijkstra", throttle=True, faults=PROFILES["none"],
+                           seed=0, observer=TraceObserver())
 
 
-GOLDEN_SCENARIOS: dict[str, Callable[[], StackResult]] = {
+GOLDEN_SCENARIOS: dict[str, Callable[[], MeasurementResult]] = {
     "fib-bots": _scenario_fib_bots,
     "lulesh-throttled": _scenario_lulesh_throttled,
     "faultsweep-inert": _scenario_faultsweep_inert,
@@ -88,12 +107,12 @@ def _counter_sha256(values: list[int]) -> str:
     return h.hexdigest()
 
 
-def digest_stack(result: StackResult) -> dict[str, Any]:
+def digest_stack(result: MeasurementResult) -> dict[str, Any]:
     """Reduce one full-stack run to its comparable digest record."""
     from repro.hw.msr import IA32_THERM_STATUS, MSR_PKG_ENERGY_STATUS
 
-    node = result.node
-    engine = result.engine
+    node = result.daemon.node
+    engine = result.daemon.engine
     sockets = node.config.sockets
     pkg_energy_raw = [
         node.msr.read_package(s, MSR_PKG_ENERGY_STATUS, privileged=True)
@@ -113,9 +132,9 @@ def digest_stack(result: StackResult) -> dict[str, Any]:
     return {
         "energy_j_sockets": [node.rapl[s].energy_j for s in range(sockets)],
         "final_temps_degc": [t.temp_degc for t in node.thermal],
-        "region_elapsed_s": result.report.elapsed_s,
-        "region_energy_j": result.report.energy_j,
-        "region_avg_watts": result.report.avg_watts,
+        "region_elapsed_s": result.region.elapsed_s,
+        "region_energy_j": result.region.energy_j,
+        "region_avg_watts": result.region.avg_watts,
         "events_fired": engine.fired,
         "events_pending": engine.pending,
         "final_time_s": engine.now,

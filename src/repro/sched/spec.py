@@ -9,20 +9,20 @@ simulation (trace generation included) is deterministic, a spec fully
 determines its :class:`~repro.sched.result.SchedResult` — which is what
 makes serial-vs-parallel bit-identity a checkable property here too.
 
-The executor's hook is the :meth:`execute` method: specs that know how
-to run themselves bypass ``run_measurement`` (see
-:func:`repro.harness.executor.execute_spec`).
+It implements the :class:`~repro.harness.spec.Spec` protocol under
+``KIND = "sched"``: :meth:`SchedSpec.execute` runs the cluster through
+:func:`~repro.sched.cluster.run_sched`, and
+:meth:`SchedSpec.validate_execute` reports the budget-invariant
+violations the run recorded on its result.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, ClassVar, Optional
 
 from repro.errors import ConfigError
+from repro.harness.spec import Spec
 from repro.sched.policy import POLICIES
 from repro.sched.workload import DEFAULT_JOB_APPS, TRACE_PROFILES
 
@@ -30,6 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cosched.predictor import PredictorModel
     from repro.harness.telemetry import TelemetryBus
     from repro.sched.result import SchedResult
+    from repro.validate.violations import ValidationReport
 
 #: Bump when the sched spec schema (or ClusterSim semantics it maps
 #: onto) changes incompatibly; folded into every digest.  Namespaced
@@ -50,8 +51,10 @@ EXECUTION_MODES = ("full", "analytic")
 
 
 @dataclass(frozen=True)
-class SchedSpec:
+class SchedSpec(Spec):
     """One fully-specified scheduled cluster run."""
+
+    KIND: ClassVar[str] = "sched"
 
     profile: str = "poisson"
     policy: str = "fcfs"
@@ -193,19 +196,6 @@ class SchedSpec:
             payload["predictor"] = self.predictor.digest
         return payload
 
-    def canonical(self) -> str:
-        return json.dumps(self.payload_dict(), sort_keys=True,
-                          separators=(",", ":"))
-
-    @property
-    def digest(self) -> str:
-        """Stable SHA-256 content digest (hex)."""
-        memo = self.__dict__.get("_digest")
-        if memo is None:
-            memo = hashlib.sha256(self.canonical().encode()).hexdigest()
-            object.__setattr__(self, "_digest", memo)
-        return memo
-
     # ------------------------------------------------------------------
     # execution / display
     # ------------------------------------------------------------------
@@ -217,7 +207,7 @@ class SchedSpec:
         registry=None,
         tracer=None,
     ) -> "SchedResult":
-        """Run this spec in-process (the executor's self-execution hook).
+        """Run this spec in-process.
 
         ``checkpoint_dir`` is an execution detail (where checkpoints
         live on disk), never part of the digest: the result is
@@ -228,6 +218,21 @@ class SchedSpec:
 
         return run_sched(self, bus=bus, checkpoint_dir=checkpoint_dir,
                          registry=registry, tracer=tracer)
+
+    def validate_execute(
+        self, *, interval_s: float = 0.1
+    ) -> tuple["SchedResult", "ValidationReport"]:
+        """Run unchecked and report the run's budget-invariant violations.
+
+        A scheduled run's invariants live in the cluster-budget auditors,
+        which always run; ``interval_s`` (the node checker's battery
+        period) does not apply.
+        """
+        from repro.validate.violations import ValidationReport
+
+        record = self.execute()
+        return record, ValidationReport(
+            spec=self, violations=tuple(record.budget_violations))
 
     @property
     def segment_count(self) -> int:
@@ -248,6 +253,3 @@ class SchedSpec:
         if self.seed:
             text += f" seed={self.seed}"
         return text
-
-    def with_label(self, label: str) -> "SchedSpec":
-        return dataclasses.replace(self, label=label)

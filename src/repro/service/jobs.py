@@ -43,7 +43,6 @@ class Job:
 
     id: str
     spec: Spec
-    kind: str
     client: str
     state: JobState = JobState.QUEUED
     #: Worker launches (including ones that crashed or timed out).
@@ -71,6 +70,10 @@ class Job:
     @property
     def digest(self) -> str:
         return self.spec.digest
+
+    @property
+    def kind(self) -> str:
+        return self.spec.KIND
 
     @property
     def terminal(self) -> bool:

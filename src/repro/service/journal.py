@@ -122,7 +122,6 @@ class Journal:
                     jobs[job_id] = {
                         "job": job_id,
                         "digest": entry.get("digest"),
-                        "kind": entry.get("kind", "run"),
                         "client": entry.get("client", ""),
                         "spec": entry.get("spec"),
                         "clients": [entry.get("client", "")],

@@ -7,7 +7,8 @@ false).  Streamed telemetry events are pushed as frames with an
 ``event`` key.
 
 Spec payloads travel as ``{"kind": "run"|"sched"|"cosched",
-"fields": {...}}`` where ``fields`` are the spec dataclass's
+"fields": {...}}``: ``kind`` is the spec class's ``KIND``, looked up in
+:data:`SPEC_KINDS` on decode, and ``fields`` are the spec dataclass's
 constructor arguments (nested ``ThrottleConfig`` / ``FaultConfig`` as
 dicts; ``faults`` alternatively as the CLI's fault-spec string; a sched
 spec's ``predictor`` as the :class:`~repro.cosched.predictor.
@@ -25,13 +26,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Any, Union
+from typing import Any
 
 from repro.config import FaultConfig, MeterConfig, ThrottleConfig
 from repro.cosched.predictor import PredictorModel
 from repro.cosched.spec import CoschedSpec
 from repro.errors import ConfigError, ProtocolError
-from repro.harness.spec import RunSpec
+from repro.harness.spec import RunSpec, Spec
 from repro.sched.spec import SchedSpec
 
 #: Hard bound on one frame (request line or response line), newline
@@ -45,11 +46,15 @@ OPS = frozenset(
      "metrics", "shutdown", "ping"}
 )
 
-Spec = Union[RunSpec, SchedSpec, CoschedSpec]
+#: Every spec kind the wire carries, by its ``KIND`` tag.
+SPEC_KINDS: dict[str, type[Spec]] = {
+    cls.KIND: cls for cls in (RunSpec, SchedSpec, CoschedSpec)
+}
 
-_RUN_FIELDS = {f.name for f in dataclasses.fields(RunSpec)}
-_SCHED_FIELDS = {f.name for f in dataclasses.fields(SchedSpec)}
-_COSCHED_FIELDS = {f.name for f in dataclasses.fields(CoschedSpec)}
+_SPEC_FIELDS = {
+    kind: frozenset(f.name for f in dataclasses.fields(cls))
+    for kind, cls in SPEC_KINDS.items()
+}
 _THROTTLE_FIELDS = {f.name for f in dataclasses.fields(ThrottleConfig)}
 _FAULT_FIELDS = {f.name for f in dataclasses.fields(FaultConfig)}
 _METER_FIELDS = {f.name for f in dataclasses.fields(MeterConfig)}
@@ -98,21 +103,15 @@ def decode_frame(line: bytes) -> dict[str, Any]:
 # ----------------------------------------------------------------------
 def spec_to_wire(spec: Spec) -> dict[str, Any]:
     """Encode a spec as its wire payload (constructor args, JSON-safe)."""
-    if isinstance(spec, RunSpec):
-        fields = dataclasses.asdict(spec)
-        return {"kind": "run", "fields": fields}
-    if isinstance(spec, SchedSpec):
-        fields = dataclasses.asdict(spec)
+    fields = dataclasses.asdict(spec)
+    if spec.KIND == "sched":
         fields["apps"] = list(fields["apps"])
         # asdict recursed into the PredictorModel dataclass; replace it
         # with the canonical payload so the wire shape matches
         # PredictorModel.from_payload (sorted entries, schema-tagged).
         if spec.predictor is not None:
             fields["predictor"] = spec.predictor.to_payload()
-        return {"kind": "sched", "fields": fields}
-    if isinstance(spec, CoschedSpec):
-        return {"kind": "cosched", "fields": dataclasses.asdict(spec)}
-    raise ProtocolError(f"unsupported spec type {type(spec).__name__}")
+    return {"kind": spec.KIND, "fields": fields}
 
 
 def _nested(name: str, value: Any, cls, allowed: set[str]):
@@ -134,6 +133,63 @@ def _nested(name: str, value: Any, cls, allowed: set[str]):
         raise ProtocolError(f"invalid {name}: {exc}") from exc
 
 
+def _coerce_run(fields: dict[str, Any]) -> None:
+    """Decode a run spec's nested configs in place."""
+    if "app" not in fields:
+        raise ProtocolError("run spec requires an 'app' field")
+    # RunSpec itself validates the app lazily at execution time; the
+    # protocol rejects it eagerly so a typo is a shed, not a worker
+    # retry loop.
+    from repro.apps import APP_REGISTRY
+
+    if not isinstance(fields["app"], str) or fields["app"] not in APP_REGISTRY:
+        raise ProtocolError(
+            f"invalid run spec: unknown application {fields['app']!r}"
+        )
+    fields["throttle_config"] = _nested(
+        "throttle_config", fields.get("throttle_config"),
+        ThrottleConfig, _THROTTLE_FIELDS,
+    )
+    faults = fields.get("faults")
+    if isinstance(faults, str):
+        from repro.faults import parse_fault_spec
+
+        try:
+            fields["faults"] = parse_fault_spec(faults)
+        except ConfigError as exc:
+            raise ProtocolError(f"invalid fault spec: {exc}") from exc
+    else:
+        fields["faults"] = _nested("faults", faults, FaultConfig, _FAULT_FIELDS)
+    fields["meter"] = _nested(
+        "meter", fields.get("meter"), MeterConfig, _METER_FIELDS)
+
+
+def _coerce_sched(fields: dict[str, Any]) -> None:
+    """Decode a sched spec's app list and predictor model in place."""
+    apps = fields.get("apps")
+    if apps is not None:
+        if not isinstance(apps, (list, tuple)) or not all(
+            isinstance(a, str) for a in apps
+        ):
+            raise ProtocolError("sched 'apps' must be a list of strings")
+        fields["apps"] = tuple(apps)
+    predictor = fields.get("predictor")
+    if predictor is not None:
+        if not isinstance(predictor, dict):
+            raise ProtocolError(
+                "sched 'predictor' must be a predictor-model payload "
+                "object or null"
+            )
+        try:
+            fields["predictor"] = PredictorModel.from_payload(predictor)
+        except (ConfigError, KeyError, TypeError, ValueError) as exc:
+            raise ProtocolError(f"invalid sched predictor: {exc}") from exc
+
+
+#: Per-kind decoding of fields the constructor cannot take as JSON.
+_COERCE = {"run": _coerce_run, "sched": _coerce_sched}
+
+
 def spec_from_wire(wire: dict[str, Any]) -> Spec:
     """Decode and validate a wire payload back into a spec.
 
@@ -150,87 +206,31 @@ def spec_from_wire(wire: dict[str, Any]) -> Spec:
     fields = wire.get("fields")
     if not isinstance(fields, dict):
         raise ProtocolError("spec payload must carry a 'fields' object")
-    fields = dict(fields)
-    if kind == "run":
-        unknown = set(fields) - _RUN_FIELDS
-        if unknown:
-            raise ProtocolError(
-                f"unknown run-spec field(s): {', '.join(sorted(unknown))}"
-            )
-        if "app" not in fields:
-            raise ProtocolError("run spec requires an 'app' field")
-        # RunSpec itself validates the app lazily at execution time; the
-        # protocol rejects it eagerly so a typo is a shed, not a worker
-        # retry loop.
-        from repro.apps import APP_REGISTRY
-
-        if fields["app"] not in APP_REGISTRY:
-            raise ProtocolError(
-                f"invalid run spec: unknown application {fields['app']!r}"
-            )
-        fields["throttle_config"] = _nested(
-            "throttle_config", fields.get("throttle_config"),
-            ThrottleConfig, _THROTTLE_FIELDS,
+    # Checked before the table lookup: an unhashable kind (a list, an
+    # object) would raise TypeError there instead of ProtocolError.
+    if not isinstance(kind, str):
+        raise ProtocolError(
+            f"spec 'kind' must be a string, got {type(kind).__name__}"
         )
-        faults = fields.get("faults")
-        if isinstance(faults, str):
-            from repro.faults import parse_fault_spec
-
-            try:
-                fields["faults"] = parse_fault_spec(faults)
-            except ConfigError as exc:
-                raise ProtocolError(f"invalid fault spec: {exc}") from exc
-        else:
-            fields["faults"] = _nested(
-                "faults", faults, FaultConfig, _FAULT_FIELDS)
-        fields["meter"] = _nested(
-            "meter", fields.get("meter"), MeterConfig, _METER_FIELDS)
-        try:
-            return RunSpec(**fields)
-        except (ConfigError, TypeError, ValueError) as exc:
-            raise ProtocolError(f"invalid run spec: {exc}") from exc
-    if kind == "sched":
-        unknown = set(fields) - _SCHED_FIELDS
-        if unknown:
-            raise ProtocolError(
-                f"unknown sched-spec field(s): {', '.join(sorted(unknown))}"
-            )
-        apps = fields.get("apps")
-        if apps is not None:
-            if not isinstance(apps, (list, tuple)) or not all(
-                isinstance(a, str) for a in apps
-            ):
-                raise ProtocolError("sched 'apps' must be a list of strings")
-            fields["apps"] = tuple(apps)
-        predictor = fields.get("predictor")
-        if predictor is not None:
-            if not isinstance(predictor, dict):
-                raise ProtocolError(
-                    "sched 'predictor' must be a predictor-model payload "
-                    "object or null"
-                )
-            try:
-                fields["predictor"] = PredictorModel.from_payload(predictor)
-            except (ConfigError, KeyError, TypeError, ValueError) as exc:
-                raise ProtocolError(
-                    f"invalid sched predictor: {exc}") from exc
-        try:
-            return SchedSpec(**fields)
-        except (ConfigError, TypeError, ValueError) as exc:
-            raise ProtocolError(f"invalid sched spec: {exc}") from exc
-    if kind == "cosched":
-        unknown = set(fields) - _COSCHED_FIELDS
-        if unknown:
-            raise ProtocolError(
-                f"unknown cosched-spec field(s): {', '.join(sorted(unknown))}"
-            )
-        try:
-            return CoschedSpec(**fields)
-        except (ConfigError, TypeError, ValueError) as exc:
-            raise ProtocolError(f"invalid cosched spec: {exc}") from exc
-    raise ProtocolError(
-        f"unknown spec kind {kind!r} (one of: cosched, run, sched)"
-    )
+    cls = SPEC_KINDS.get(kind)
+    if cls is None:
+        raise ProtocolError(
+            f"unknown spec kind {kind!r} "
+            f"(one of: {', '.join(sorted(SPEC_KINDS))})"
+        )
+    unknown = set(fields) - _SPEC_FIELDS[kind]
+    if unknown:
+        raise ProtocolError(
+            f"unknown {kind}-spec field(s): {', '.join(sorted(unknown))}"
+        )
+    fields = dict(fields)
+    coerce = _COERCE.get(kind)
+    if coerce is not None:
+        coerce(fields)
+    try:
+        return cls(**fields)
+    except (ConfigError, TypeError, ValueError) as exc:
+        raise ProtocolError(f"invalid {kind} spec: {exc}") from exc
 
 
 # ----------------------------------------------------------------------

@@ -291,8 +291,7 @@ class ExperimentService:
             if active is not None:
                 active.subscribers.extend(entry["clients"])
                 continue
-            job = Job(id=entry["job"], spec=spec, kind=entry["kind"],
-                      client=entry["client"],
+            job = Job(id=entry["job"], spec=spec, client=entry["client"],
                       subscribers=list(entry["clients"]))
             self._track(job)
             self._count("recovered")
@@ -429,7 +428,6 @@ class ExperimentService:
     # ------------------------------------------------------------------
     def _submit(self, frame: dict[str, Any], peer: str) -> dict[str, Any]:
         spec = spec_from_wire(frame["spec"])
-        kind = frame["spec"].get("kind", "run")
         client = frame.get("client") or peer
         if self._draining:
             self._count("shed_draining")
@@ -456,7 +454,7 @@ class ExperimentService:
             response = {"ok": True, "op": "submit", "attached": True,
                         **known.snapshot()}
             return response
-        job = Job(id=self._next_id(), spec=spec, kind=kind, client=client,
+        job = Job(id=self._next_id(), spec=spec, client=client,
                   subscribers=[client])
         # Cache check before quota: answering from the store costs no
         # worker slot, so it should never be shed.
@@ -486,7 +484,7 @@ class ExperimentService:
                                   retry_after_s=exc.retry_after_s)
         self._count("accepted")
         self.bus.emit(stel.JobAccepted(
-            job=job.id, digest=job.digest, kind=kind, client=client,
+            job=job.id, digest=job.digest, kind=job.kind, client=client,
             queue_depth=len(self.queue)))
         self._gauge()
         self._wake.set()

@@ -36,7 +36,7 @@ from repro.hw.power import reference_socket_power_w
 from repro.hw.rapl import expected_status
 from repro.hw.thermal import rc_step
 from repro.throttle.dutycycle import representable_duty
-from repro.validate.violations import Violation
+from repro.validate.violations import ValidationReport, Violation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hw.node import Node
@@ -128,6 +128,17 @@ class InvariantChecker:
         engine.remove_probe(self._on_event)
         self._engine = None
         self._node = None
+
+    def report(self, spec, violations) -> ValidationReport:
+        """Package ``violations`` with this checker's telemetry for ``spec``."""
+        return ValidationReport(
+            spec=spec,
+            violations=tuple(violations),
+            checks=dict(self.checks),
+            batteries=self.batteries,
+            syncs=self.syncs,
+            events=self.events,
+        )
 
     # ------------------------------------------------------------------
     # probes

@@ -1,6 +1,6 @@
 """Validation entry points: single-spec, corpus sweep, differential replay.
 
-Three layers, matching the tentpole's contract:
+Three layers:
 
 * :func:`validate_spec` — run one spec under the
   :class:`~repro.validate.checker.InvariantChecker`, audit the resulting
@@ -24,63 +24,24 @@ from typing import Optional, Sequence
 
 from repro.harness.executor import BatchExecutor, execute_spec
 from repro.harness.record import MeasurementRecord
-from repro.harness.spec import RunSpec
+from repro.harness.spec import Spec
 from repro.harness.telemetry import TelemetryBus
-from repro.validate.checker import InvariantChecker
-from repro.validate.records import check_record
 from repro.validate.violations import ValidationReport
 
 
 def validate_spec(
-    spec: RunSpec,
+    spec: Spec,
     *,
     interval_s: float = 0.1,
 ) -> tuple[MeasurementRecord, ValidationReport]:
-    """Execute ``spec`` under the checker and audit the books.
+    """Execute ``spec`` in validate mode (:meth:`Spec.validate_execute`).
 
-    Dispatch mirrors :func:`~repro.harness.executor.execute_spec`: a
-    spec exposing ``validate_execute`` (e.g.
-    :class:`~repro.cosched.spec.CoschedSpec`) runs its own checked
-    path; a self-executing spec without one (e.g.
-    :class:`~repro.sched.spec.SchedSpec`, whose invariants live in the
-    budget auditors) runs unchecked and reports its recorded
-    violations; a plain :class:`~repro.harness.spec.RunSpec` takes the
-    full measurement-stack path below.
+    A :class:`~repro.harness.spec.RunSpec` or
+    :class:`~repro.cosched.spec.CoschedSpec` runs under the invariant
+    checker and audits its books; a :class:`~repro.sched.spec.SchedSpec`
+    reports the violations its budget auditors recorded.
     """
-    # Deferred: expectations imports validate.violations, and the package
-    # __init__ pulls this module — importing it at module scope would make
-    # `import repro.faults.expectations` circular.
-    from repro.experiments.runner import run_measurement
-    from repro.faults.expectations import classify_violations
-
-    validate_execute = getattr(spec, "validate_execute", None)
-    if validate_execute is not None:
-        return validate_execute(interval_s=interval_s)
-    if not isinstance(spec, RunSpec):
-        record = execute_spec(spec)
-        report = ValidationReport(
-            spec=spec,
-            violations=tuple(getattr(record, "budget_violations", ())),
-        )
-        return record, report
-
-    checker = InvariantChecker(interval_s=interval_s)
-    t0 = time.perf_counter()
-    result = run_measurement(**spec.to_kwargs(), checker=checker)
-    record = MeasurementRecord.from_result(
-        spec, result, wall_s=time.perf_counter() - t0
-    )
-    violations = list(checker.violations)
-    violations.extend(check_record(record))
-    report = ValidationReport(
-        spec=spec,
-        violations=classify_violations(violations, spec.faults, meter=spec.meter),
-        checks=dict(checker.checks),
-        batteries=checker.batteries,
-        syncs=checker.syncs,
-        events=checker.events,
-    )
-    return record, report
+    return spec.validate_execute(interval_s=interval_s)
 
 
 # ----------------------------------------------------------------------
@@ -129,7 +90,7 @@ class ValidationSweepResult:
 
 
 def run_validation_sweep(
-    specs: Sequence[RunSpec],
+    specs: Sequence[Spec],
     *,
     workers: int = 1,
     bus: Optional[TelemetryBus] = None,
@@ -185,7 +146,7 @@ class DifferentialResult:
 
 
 def differential_sweep(
-    specs: Sequence[RunSpec],
+    specs: Sequence[Spec],
     *,
     workers: int = 2,
 ) -> DifferentialResult:

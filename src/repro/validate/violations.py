@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.harness.spec import RunSpec
+    from repro.harness.spec import Spec
 
 #: Violation categories that fault injection can legitimately explain.
 MEASUREMENT_CATEGORIES = frozenset(
@@ -97,7 +97,7 @@ class Violation:
 class ValidationReport:
     """Outcome of validating one run: violations plus checker telemetry."""
 
-    spec: "RunSpec"
+    spec: "Spec"
     violations: tuple[Violation, ...] = ()
     #: Per-invariant count of *checks evaluated* (not failures) — proves
     #: the battery actually ran, so an empty violation list is evidence

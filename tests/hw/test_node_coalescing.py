@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments.runner import run_measurement
 from repro.hw.core import CoreState, Segment
 from repro.hw.node import Node
-from repro.perf.scenarios import run_stack
 from repro.sim.engine import Engine
 
 
@@ -200,7 +200,7 @@ def test_raising_callback_leaves_no_flush_behind(engine, node):
 
 
 class _PerEventRecomputeCounter:
-    """Attach-shaped hook for ``run_stack``: records recomputes per event."""
+    """Run observer for ``run_measurement``: records recomputes per event."""
 
     def attach(self, engine: Engine, node: Node) -> None:
         self.calls = _count_recomputes(node)
@@ -218,9 +218,8 @@ class _PerEventRecomputeCounter:
 
 def test_table1_cell_rederives_at_most_once_per_event():
     counter = _PerEventRecomputeCounter()
-    result = run_stack("bots-fib", compiler="gcc", optlevel="O2", threads=16,
-                       checker=counter)
-    assert len(counter.per_event) == result.engine.fired
+    result = run_measurement("bots-fib", "gcc", "O2", 16, observer=counter)
+    assert len(counter.per_event) == result.daemon.engine.fired
     assert max(counter.per_event) == 1
     # Most events mutate the node (completions, assigns, duty commits).
     assert sum(counter.per_event) > len(counter.per_event) // 4

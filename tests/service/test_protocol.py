@@ -149,6 +149,20 @@ class TestSpecWire:
         with pytest.raises(ProtocolError, match=match):
             spec_from_wire(wire)
 
+    @pytest.mark.parametrize("wire, match", [
+        ({"kind": ["run"], "fields": {"app": "nqueens"}}, "must be a string"),
+        ({"kind": {"run": 1}, "fields": {"app": "nqueens"}},
+         "must be a string"),
+        ({"kind": "run", "fields": {"app": ["nqueens"]}},
+         "unknown application"),
+    ])
+    def test_unhashable_value_is_a_protocol_error(self, wire, match):
+        # The decoder looks kinds and apps up in dicts; an unhashable
+        # value must still surface as ProtocolError (the server's
+        # ok:false path), never as TypeError.
+        with pytest.raises(ProtocolError, match=match):
+            spec_from_wire(wire)
+
 
 # ---------------------------------------------------------------- requests
 class TestValidateRequest:

@@ -15,7 +15,7 @@ pytestmark = pytest.mark.service
 
 def _job(seed: int) -> Job:
     return Job(id=f"j-{seed:06d}", spec=RunSpec("nqueens", seed=seed),
-               kind="run", client="t")
+               client="t")
 
 
 class TestAdmissionQueue:

@@ -10,19 +10,17 @@ profiles and would be meaningless otherwise).
 
 from __future__ import annotations
 
+from repro.experiments.runner import run_measurement
 from repro.faults import parse_fault_spec
-from repro.perf.golden import digest_stack
-from repro.perf.scenarios import run_stack
+from repro.perf.golden import TraceObserver, digest_stack
 
 
 def _run(seed: int) -> dict:
     # The same shape a CLI user gets with:
     #   repro run dijkstra --throttle --faults default --seed <seed>
     faults = parse_fault_spec("default")
-    result = run_stack(
-        "dijkstra", threads=16, throttle=True, faults=faults,
-        seed=seed, trace=True,
-    )
+    result = run_measurement("dijkstra", throttle=True, faults=faults,
+                             seed=seed, observer=TraceObserver())
     return digest_stack(result)
 
 
@@ -48,6 +46,8 @@ def test_different_seed_diverges() -> None:
 
 def test_clean_path_is_deterministic_too() -> None:
     """No faults, throttling on: still bit-identical across runs."""
-    a = digest_stack(run_stack("bots-fib", threads=16, throttle=True, trace=True))
-    b = digest_stack(run_stack("bots-fib", threads=16, throttle=True, trace=True))
+    a = digest_stack(run_measurement("bots-fib", throttle=True,
+                                     observer=TraceObserver()))
+    b = digest_stack(run_measurement("bots-fib", throttle=True,
+                                     observer=TraceObserver()))
     assert a == b

@@ -65,12 +65,12 @@ def test_inert_meter_config_reproduces_pinned_digest(pinned: dict) -> None:
     registers, energies, everything.
     """
     from repro.config import MeterConfig
-    from repro.perf.golden import digest_stack
-    from repro.perf.scenarios import run_stack
+    from repro.experiments.runner import run_measurement
+    from repro.perf.golden import TraceObserver, digest_stack
 
     meter = MeterConfig()
     assert meter.inert
-    result = run_stack("bots-fib", threads=16, trace=True, meter=meter)
+    result = run_measurement("bots-fib", meter=meter, observer=TraceObserver())
     digest = digest_stack(result)
     expected = pinned["fib-bots"]
     drifted = {
@@ -90,12 +90,12 @@ def test_counter_model_meter_changes_no_physics(pinned: dict) -> None:
     the attribution error under study).
     """
     from repro.config import MeterConfig
-    from repro.perf.golden import digest_stack
-    from repro.perf.scenarios import run_stack
+    from repro.experiments.runner import run_measurement
+    from repro.perf.golden import TraceObserver, digest_stack
 
-    result = run_stack(
-        "bots-fib", threads=16, trace=True,
-        meter=MeterConfig(backend="counter-model"),
+    result = run_measurement(
+        "bots-fib", meter=MeterConfig(backend="counter-model"),
+        observer=TraceObserver(),
     )
     digest = digest_stack(result)
     expected = pinned["fib-bots"]
