@@ -121,7 +121,7 @@ sweep-smoke:
 # seed (one app, three profiles), exercising retry, interpolation, the
 # daemon watchdog and the controller fail-safe on every run.
 smoke-faults:
-	$(PYTHON) -m repro.cli faultsweep --quick --seed 0
+	PYTHONPATH=src:$$PYTHONPATH $(PYTHON) -m repro.cli faultsweep --quick --seed 0
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
@@ -161,11 +161,11 @@ bench-obs:
 
 # Regenerate EXPERIMENTS.md (runs the full evaluation, ~5-10 minutes).
 reproduce:
-	$(PYTHON) -m repro.experiments.compare EXPERIMENTS.md
+	$(PYTHON) -m repro.cli reproduce --no-cache -o EXPERIMENTS.md
 
 # Refresh the empirical residual corrections after model changes.
 recalibrate:
-	$(PYTHON) -m repro.experiments.recalibrate
+	$(PYTHON) -m repro.cli recalibrate
 
 examples:
 	@for ex in examples/*.py; do \

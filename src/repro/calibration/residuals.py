@@ -13,7 +13,7 @@ shape, so speedup curves and throttling dynamics are unaffected.
 
 This table is *generated*, not hand-tuned: run
 
-    python -m repro.experiments.recalibrate
+    repro-paper recalibrate
 
 to re-measure every entry (it simulates each application once or twice
 at 16 threads and rewrites this file's data).  Entries default to

@@ -1,6 +1,8 @@
 """``repro-paper`` command-line interface.
 
-Subcommands map one-to-one to the paper's evaluation artifacts:
+This is the only command-line path into the experiments and the
+service (``python -m repro.cli`` without an install).  Subcommands map
+one-to-one to the paper's evaluation artifacts:
 
     repro-paper list                       # applications in the registry
     repro-paper run APP [options]          # one measured execution
@@ -25,8 +27,12 @@ Subcommands map one-to-one to the paper's evaluation artifacts:
 
 Every sweep command accepts the shared harness flags: ``--workers N``
 (process-parallel execution), ``--no-cache`` / ``--cache-dir DIR``
-(digest-keyed result cache), ``--events FILE`` (JSONL telemetry log)
-and ``--quiet`` (suppress the progress renderer).
+(digest-keyed result cache), ``--events FILE`` (JSONL telemetry log),
+``--metrics FILE`` / ``--trace FILE`` (obs snapshot, Chrome trace) and
+``--quiet`` (suppress the progress renderer).  List flags take
+comma-separated values.  A bad flag value is a usage error and any
+:class:`~repro.errors.ReproError` a command raises is reported as
+``repro-paper CMD: error: ...``; both exit 2.
 """
 
 from __future__ import annotations
@@ -34,12 +40,27 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
-from typing import Iterator
+from typing import Any, Callable, Iterator, Optional
 
 from repro.apps import APP_REGISTRY, list_apps
 
 
 # ----------------------------------------------------------------- harness
+def _csv(item_type: Callable[[str], Any]) -> Callable[[str], tuple]:
+    """argparse type for a comma-separated list flag: a tuple of ``item_type``.
+
+    A bad item fails as a usage error, before anything runs.
+    """
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(item_type(item) for item in text.split(","))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                f"invalid comma-separated list {text!r}: {exc}") from exc
+
+    return parse
+
+
 def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
     """The harness flags shared by every sweep subcommand."""
     group = parser.add_argument_group("harness")
@@ -63,21 +84,27 @@ def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
 
 
 @contextlib.contextmanager
-def _make_harness(args: argparse.Namespace) -> Iterator["BatchExecutor"]:
-    """Build the BatchExecutor an argparse namespace describes."""
-    from repro.harness import (
-        BatchExecutor,
-        JsonlSink,
-        ProgressSink,
-        ResultCache,
-        TelemetryBus,
-    )
+def _telemetry(
+    args: argparse.Namespace,
+    progress: Optional[Callable[[], Any]] = None,
+    *,
+    trace_clock: Optional[Callable[[], float]] = None,
+) -> Iterator[tuple]:
+    """The telemetry a command's ``--quiet``/``--events``/``--metrics``/
+    ``--trace`` flags ask for, as ``(bus, registry, tracer)``.
+
+    ``progress`` builds the stderr narrator (default: the harness
+    :class:`ProgressSink`).  ``trace_clock`` replaces the tracer's wall
+    clock.  The JSONL log is closed and the metrics snapshot and
+    Chrome trace are written when the block exits.
+    """
+    from repro.harness import JsonlSink, ProgressSink, TelemetryBus
 
     bus = TelemetryBus()
     if not args.quiet:
-        bus.subscribe(ProgressSink())
+        bus.subscribe((progress or ProgressSink)())
     jsonl = None
-    if args.events:
+    if getattr(args, "events", None):
         jsonl = JsonlSink(args.events)
         bus.subscribe(jsonl)
     # Observability is strictly opt-in from the CLI: no registry object
@@ -91,11 +118,9 @@ def _make_harness(args: argparse.Namespace) -> Iterator["BatchExecutor"]:
     if getattr(args, "trace", None):
         from repro.obs import SpanRecorder
 
-        tracer = SpanRecorder()
-    cache = None if args.no_cache else ResultCache(root=args.cache_dir)
+        tracer = SpanRecorder(clock=trace_clock)
     try:
-        yield BatchExecutor(workers=args.workers, cache=cache, bus=bus,
-                            registry=registry, tracer=tracer)
+        yield bus, registry, tracer
     finally:
         if jsonl is not None:
             jsonl.close()
@@ -103,6 +128,17 @@ def _make_harness(args: argparse.Namespace) -> Iterator["BatchExecutor"]:
             _dump_metrics(registry, args.metrics)
         if tracer is not None:
             _dump_trace(tracer, args.trace)
+
+
+@contextlib.contextmanager
+def _make_harness(args: argparse.Namespace) -> Iterator["BatchExecutor"]:
+    """Build the BatchExecutor an argparse namespace describes."""
+    from repro.harness import BatchExecutor, ResultCache
+
+    with _telemetry(args) as (bus, registry, tracer):
+        cache = None if args.no_cache else ResultCache(root=args.cache_dir)
+        yield BatchExecutor(workers=args.workers, cache=cache, bus=bus,
+                            registry=registry, tracer=tracer)
 
 
 def _dump_metrics(registry: "MetricsRegistry", path: str) -> None:
@@ -178,162 +214,89 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_faultsweep(args: argparse.Namespace) -> int:
-    from repro.errors import FaultConfigError, UnknownApplicationError
-    from repro.experiments.faultsweep import (
-        DEFAULT_APPS,
-        DEFAULT_PROFILES,
-        run_fault_sweep,
-    )
+    from repro.experiments.faultsweep import run_fault_sweep
 
-    apps = tuple(args.apps.split(",")) if args.apps else DEFAULT_APPS
-    profiles = tuple(args.profiles.split(",")) if args.profiles else DEFAULT_PROFILES
+    apps, profiles = args.apps, args.profiles
     if args.quick:
         apps = apps[:1]
         profiles = tuple(p for p in profiles if p in ("none", "stall", "default"))
-    try:
-        with _make_harness(args) as harness:
-            result = run_fault_sweep(apps, profiles, seed=args.seed, harness=harness)
-    except (FaultConfigError, UnknownApplicationError) as exc:
-        print(f"repro-paper faultsweep: error: {exc}", file=sys.stderr)
-        return 2
+    with _make_harness(args) as harness:
+        result = run_fault_sweep(apps, profiles, seed=args.seed, harness=harness)
     print(result.format())
     return 0
 
 
 def _cmd_metersweep(args: argparse.Namespace) -> int:
-    from repro.errors import ConfigError, FaultConfigError, UnknownApplicationError
     from repro.experiments.metersweep import (
-        DEFAULT_APP,
-        DEFAULT_BACKENDS,
-        DEFAULT_PERIODS,
-        DEFAULT_PROFILES,
         QUICK_PERIODS,
         QUICK_PROFILES,
         run_meter_sweep,
     )
 
-    app = args.app if args.app else DEFAULT_APP
-    backends = (
-        tuple(args.backends.split(",")) if args.backends else DEFAULT_BACKENDS
-    )
-    periods = (
-        tuple(float(p) for p in args.periods.split(","))
-        if args.periods else DEFAULT_PERIODS
-    )
-    profiles = (
-        tuple(args.profiles.split(",")) if args.profiles else DEFAULT_PROFILES
-    )
+    periods, profiles = args.periods, args.profiles
     if args.quick:
         periods = QUICK_PERIODS
         profiles = QUICK_PROFILES
-    try:
-        with _make_harness(args) as harness:
-            result = run_meter_sweep(
-                app, backends, periods, profiles,
-                read_cost_s=args.read_cost,
-                seed=args.seed, harness=harness,
-            )
-    except (
-        ConfigError, FaultConfigError, UnknownApplicationError, ValueError
-    ) as exc:
-        print(f"repro-paper metersweep: error: {exc}", file=sys.stderr)
-        return 2
+    with _make_harness(args) as harness:
+        result = run_meter_sweep(
+            args.app, args.backends, periods, profiles,
+            read_cost_s=args.read_cost,
+            seed=args.seed, harness=harness,
+        )
     print(result.format())
     return 0 if result.ok else 1
 
 
 def _cmd_sched(args: argparse.Namespace) -> int:
-    from repro.errors import ReproError
-    from repro.harness import JsonlSink, TelemetryBus
     from repro.sched import SchedSpec
     from repro.sched.telemetry import SchedProgressSink
 
-    bus = TelemetryBus()
-    if not args.quiet:
-        bus.subscribe(SchedProgressSink())
-    jsonl = None
-    if args.events:
-        jsonl = JsonlSink(args.events)
-        bus.subscribe(jsonl)
-    registry = tracer = None
-    if args.metrics:
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-    if args.trace:
-        from repro.obs import SpanRecorder
-
-        # Sim-time spans: no wall clock, timestamps come from the
-        # engine via explicit ``at=`` so the trace shows simulated time.
-        tracer = SpanRecorder(clock=lambda: 0.0)
-    try:
-        spec = SchedSpec(
-            profile=args.profile,
-            policy=args.policy,
-            nodes=args.nodes,
-            budget_w=args.budget,
-            jobs=args.jobs,
-            rate_jobs_per_s=args.rate,
-            queue_depth=args.queue_depth,
-            seed=args.seed,
-            time_limit_s=args.time_limit,
-            execution=args.execution,
-            retain_jobs=not args.no_retain,
-            segment_jobs=args.segment_jobs,
-        )
+    spec = SchedSpec(
+        profile=args.profile,
+        policy=args.policy,
+        nodes=args.nodes,
+        budget_w=args.budget,
+        jobs=args.jobs,
+        rate_jobs_per_s=args.rate,
+        queue_depth=args.queue_depth,
+        seed=args.seed,
+        time_limit_s=args.time_limit,
+        execution=args.execution,
+        retain_jobs=not args.no_retain,
+        segment_jobs=args.segment_jobs,
+    )
+    # Sim-time spans: no wall clock, timestamps come from the engine via
+    # explicit ``at=`` so the trace shows simulated time.
+    with _telemetry(args, SchedProgressSink,
+                    trace_clock=lambda: 0.0) as (bus, registry, tracer):
         result = spec.execute(bus=bus, checkpoint_dir=args.checkpoint_dir,
                               registry=registry, tracer=tracer)
-    except ReproError as exc:
-        print(f"repro-paper sched: error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        if jsonl is not None:
-            jsonl.close()
-    if registry is not None:
-        _dump_metrics(registry, args.metrics)
-    if tracer is not None:
-        _dump_trace(tracer, args.trace)
     print(result.format())
     return 0 if not result.budget_violations else 1
 
 
 def _cmd_schedsweep(args: argparse.Namespace) -> int:
-    from repro.errors import ReproError
-    from repro.experiments.schedsweep import (
-        DEFAULT_BUDGETS_W,
-        DEFAULT_POLICIES,
-        DEFAULT_PROFILES,
-        run_sched_sweep,
-    )
+    from repro.experiments.schedsweep import run_sched_sweep
 
-    policies = tuple(args.policies.split(",")) if args.policies else DEFAULT_POLICIES
-    profiles = tuple(args.profiles.split(",")) if args.profiles else DEFAULT_PROFILES
-    budgets = (
-        tuple(float(b) for b in args.budgets.split(","))
-        if args.budgets else DEFAULT_BUDGETS_W
-    )
+    policies, profiles, budgets = args.policies, args.profiles, args.budgets
     jobs = args.jobs
     if args.quick:
         policies = policies[:2]
         profiles = profiles[:1]
         budgets = budgets[:1]
         jobs = min(jobs, 6)
-    try:
-        with _make_harness(args) as harness:
-            result = run_sched_sweep(
-                profiles, policies, budgets,
-                nodes=args.nodes, jobs=jobs, seed=args.seed, harness=harness,
-            )
-            tournament = None
-            if not args.quick and not args.no_tournament:
-                from repro.experiments.schedsweep import run_policy_tournament
+    with _make_harness(args) as harness:
+        result = run_sched_sweep(
+            profiles, policies, budgets,
+            nodes=args.nodes, jobs=jobs, seed=args.seed, harness=harness,
+        )
+        tournament = None
+        if not args.quick and not args.no_tournament:
+            from repro.experiments.schedsweep import run_policy_tournament
 
-                tournament = run_policy_tournament(
-                    nodes=args.nodes, seed=args.seed, harness=harness,
-                )
-    except ReproError as exc:
-        print(f"repro-paper schedsweep: error: {exc}", file=sys.stderr)
-        return 2
+            tournament = run_policy_tournament(
+                nodes=args.nodes, seed=args.seed, harness=harness,
+            )
     print(result.format())
     if tournament is not None:
         print()
@@ -342,37 +305,19 @@ def _cmd_schedsweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_coschedsweep(args: argparse.Namespace) -> int:
-    from repro.errors import ReproError
-    from repro.experiments.coschedsweep import (
-        DEFAULT_APPS,
-        DEFAULT_INJECTORS,
-        DEFAULT_LEVELS,
-        run_cosched_sweep,
-    )
+    from repro.experiments.coschedsweep import run_cosched_sweep
 
-    apps = tuple(args.apps.split(",")) if args.apps else DEFAULT_APPS
-    injectors = (
-        tuple(args.injectors.split(",")) if args.injectors
-        else DEFAULT_INJECTORS
-    )
-    levels = (
-        tuple(float(level) for level in args.levels.split(","))
-        if args.levels else DEFAULT_LEVELS
-    )
+    apps, injectors, levels = args.apps, args.injectors, args.levels
     if args.quick:
         apps = apps[:2]
         injectors = injectors[:1]
         levels = levels[-1:]
-    try:
-        with _make_harness(args) as harness:
-            result = run_cosched_sweep(
-                apps, injectors, levels,
-                threads=args.threads, scale=args.scale,
-                inj_scale=args.inj_scale, seed=args.seed, harness=harness,
-            )
-    except (ReproError, ValueError) as exc:
-        print(f"repro-paper coschedsweep: error: {exc}", file=sys.stderr)
-        return 2
+    with _make_harness(args) as harness:
+        result = run_cosched_sweep(
+            apps, injectors, levels,
+            threads=args.threads, scale=args.scale,
+            inj_scale=args.inj_scale, seed=args.seed, harness=harness,
+        )
     print(result.format())
     if args.output:
         result.store.save(args.output)
@@ -435,10 +380,9 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
 
 def _cmd_coldstart(args: argparse.Namespace) -> int:
     from repro.experiments.coldstart import run_cold_start
-    from repro.harness import telemetry as tel
 
-    bus = tel.TelemetryBus() if args.quiet else tel.stderr_bus()
-    print(run_cold_start(bus=bus).format())
+    with _telemetry(args) as (bus, _registry, _tracer):
+        print(run_cold_start(bus=bus).format())
     return 0
 
 
@@ -536,7 +480,6 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    from repro.harness import JsonlSink, ProgressSink, TelemetryBus
     from repro.validate import (
         corpus,
         differential_specs,
@@ -547,15 +490,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         run_validation_sweep,
     )
 
-    bus = TelemetryBus()
-    if not args.quiet:
-        bus.subscribe(ProgressSink())
-    jsonl = None
-    if args.events:
-        jsonl = JsonlSink(args.events)
-        bus.subscribe(jsonl)
     ok = True
-    try:
+    with _telemetry(args) as (bus, _registry, _tracer):
         if not args.differential_only:
             sweep = run_validation_sweep(
                 corpus(quick=args.quick), workers=args.workers, bus=bus
@@ -581,9 +517,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             print()
             print(diff.format())
             ok = ok and diff.ok
-    finally:
-        if jsonl is not None:
-            jsonl.close()
     return 0 if ok else 1
 
 
@@ -597,9 +530,33 @@ def _cmd_recalibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service.server import serve_from_args
+    import asyncio
 
-    return serve_from_args(args)
+    from repro.harness.cache import default_cache_root
+    from repro.service.client import ServiceEventPrinter
+    from repro.service.server import ServiceConfig, serve
+
+    if args.cache_dir == "none":
+        cache_root = None
+    elif args.cache_dir is None:
+        cache_root = str(default_cache_root())
+    else:
+        cache_root = args.cache_dir
+    config = ServiceConfig(
+        host=args.host, port=args.port, workers=args.workers,
+        queue_depth=args.queue_depth,
+        timeout_s=(args.timeout if args.timeout > 0 else None),
+        retries=args.retries, max_redeliveries=args.redeliveries,
+        quota_rate=args.quota_rate, quota_burst=args.quota_burst,
+        cache_root=cache_root, journal_path=args.journal,
+        journal_fsync=args.fsync, metrics_port=args.metrics_port,
+    )
+    with _telemetry(args, ServiceEventPrinter) as (bus, _registry, _tracer):
+        try:
+            asyncio.run(serve(config, bus))
+        except KeyboardInterrupt:  # pragma: no cover - interactive only
+            pass
+    return 0
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
@@ -675,6 +632,9 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The sweeps' grid defaults become the list flags' defaults.
+    from repro.calibration.paper_data import THROTTLE_TABLES
+    from repro.experiments import coschedsweep, faultsweep, metersweep, schedsweep
 
     sub.add_parser("list", help="list benchmark applications").set_defaults(func=_cmd_list)
 
@@ -700,9 +660,10 @@ def build_parser() -> argparse.ArgumentParser:
         "faultsweep",
         help="rerun the throttling comparison under each fault profile",
     )
-    fs_p.add_argument("--apps", default=None,
+    fs_p.add_argument("--apps", type=_csv(str), default=faultsweep.DEFAULT_APPS,
                       help="comma-separated throttling apps (default: lulesh,dijkstra)")
-    fs_p.add_argument("--profiles", default=None,
+    fs_p.add_argument("--profiles", type=_csv(str),
+                      default=faultsweep.DEFAULT_PROFILES,
                       help="comma-separated fault profiles (default: all)")
     fs_p.add_argument("--seed", type=int, default=0)
     fs_p.add_argument("--quick", action="store_true",
@@ -714,18 +675,22 @@ def build_parser() -> argparse.ArgumentParser:
         "metersweep",
         help="attribution error + observer overhead: backend x cadence x faults",
     )
-    ms_p.add_argument("--app", default=None,
+    ms_p.add_argument("--app", default=metersweep.DEFAULT_APP,
                       help="workload to meter (default: lulesh)")
-    ms_p.add_argument("--backends", default=None,
+    ms_p.add_argument("--backends", type=_csv(str),
+                      default=metersweep.DEFAULT_BACKENDS,
                       help="comma-separated metering backends "
                            "(default: rapl,counter-model)")
-    ms_p.add_argument("--periods", default=None, metavar="S,S",
+    ms_p.add_argument("--periods", type=_csv(float),
+                      default=metersweep.DEFAULT_PERIODS, metavar="S,S",
                       help="comma-separated sampling periods in seconds "
                            "(default: 0.4,0.1,0.025)")
-    ms_p.add_argument("--profiles", default=None,
+    ms_p.add_argument("--profiles", type=_csv(str),
+                      default=metersweep.DEFAULT_PROFILES,
                       help="comma-separated fault profiles "
                            "(default: none,flaky-msr,stall)")
-    ms_p.add_argument("--read-cost", type=float, default=0.002, metavar="S",
+    ms_p.add_argument("--read-cost", type=float,
+                      default=metersweep.DEFAULT_READ_COST_S, metavar="S",
                       help="observer cost per socket sample read, "
                            "solo-seconds (default: 0.002)")
     ms_p.add_argument("--seed", type=int, default=0)
@@ -789,12 +754,15 @@ def build_parser() -> argparse.ArgumentParser:
     ssw_p = sub.add_parser(
         "schedsweep", help="placement policy x power budget comparison table"
     )
-    ssw_p.add_argument("--profiles", default=None,
+    ssw_p.add_argument("--profiles", type=_csv(str),
+                       default=schedsweep.DEFAULT_PROFILES,
                        help="comma-separated trace profiles (default: poisson,bursty)")
-    ssw_p.add_argument("--policies", default=None,
+    ssw_p.add_argument("--policies", type=_csv(str),
+                       default=schedsweep.DEFAULT_POLICIES,
                        help="comma-separated policies (default: the four "
                             "heuristics; the tournament adds 'predicted')")
-    ssw_p.add_argument("--budgets", default=None, metavar="W,W",
+    ssw_p.add_argument("--budgets", type=_csv(float),
+                       default=schedsweep.DEFAULT_BUDGETS_W, metavar="W,W",
                        help="comma-separated global budgets in watts "
                             "(default: 300,500)")
     ssw_p.add_argument("--nodes", type=int, default=4)
@@ -813,19 +781,25 @@ def build_parser() -> argparse.ArgumentParser:
         "coschedsweep",
         help="contention profiling: apps x injectors x pressure levels",
     )
-    csw_p.add_argument("--apps", default=None,
+    csw_p.add_argument("--apps", type=_csv(str),
+                       default=coschedsweep.DEFAULT_APPS,
                        help="comma-separated apps to profile "
                             "(default: the scheduler's job mix)")
-    csw_p.add_argument("--injectors", default=None,
+    csw_p.add_argument("--injectors", type=_csv(str),
+                       default=coschedsweep.DEFAULT_INJECTORS,
                        help="comma-separated injector apps "
                             "(default: inject-membw,inject-coherence)")
-    csw_p.add_argument("--levels", default=None, metavar="L,L",
+    csw_p.add_argument("--levels", type=_csv(float),
+                       default=coschedsweep.DEFAULT_LEVELS, metavar="L,L",
                        help="comma-separated pressure levels (default: 0.5,1)")
-    csw_p.add_argument("--threads", type=int, default=8,
+    csw_p.add_argument("--threads", type=int,
+                       default=coschedsweep.DEFAULT_THREADS,
                        help="threads per co-runner (default: 8)")
-    csw_p.add_argument("--scale", type=float, default=0.15,
+    csw_p.add_argument("--scale", type=float,
+                       default=coschedsweep.DEFAULT_SCALE,
                        help="probed-app work scale (default: 0.15)")
-    csw_p.add_argument("--inj-scale", type=float, default=12.0,
+    csw_p.add_argument("--inj-scale", type=float,
+                       default=coschedsweep.DEFAULT_INJ_SCALE,
                        help="injector work scale — sized to outlast the "
                             "probed app (default: 12)")
     csw_p.add_argument("--seed", type=int, default=0)
@@ -853,7 +827,8 @@ def build_parser() -> argparse.ArgumentParser:
     fig_p.set_defaults(func=_cmd_figure)
 
     thr_p = sub.add_parser("throttle", help="Tables IV-VII (dynamic throttling)")
-    thr_p.add_argument("app", nargs="?", default=None)
+    thr_p.add_argument("app", nargs="?", default=None,
+                       choices=sorted(THROTTLE_TABLES))
     _add_sweep_args(thr_p)
     thr_p.set_defaults(func=_cmd_throttle)
 
@@ -918,9 +893,34 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the always-on experiment service (NDJSON over TCP)",
     )
-    from repro.service.server import add_serve_arguments
-
-    add_serve_arguments(serve_p)
+    serve_p.add_argument("--host", default="127.0.0.1")
+    serve_p.add_argument("--port", type=int, default=7823,
+                         help="listen port (0: ephemeral, printed on start)")
+    serve_p.add_argument("--workers", type=int, default=2)
+    serve_p.add_argument("--queue-depth", type=int, default=64)
+    serve_p.add_argument("--timeout", type=float, default=120.0, metavar="S",
+                         help="per-attempt hard deadline (0: unbounded)")
+    serve_p.add_argument("--retries", type=int, default=2)
+    serve_p.add_argument("--redeliveries", type=int, default=2,
+                         help="crash redeliveries before poison quarantine")
+    serve_p.add_argument("--quota-rate", type=float, default=50.0)
+    serve_p.add_argument("--quota-burst", type=float, default=100.0)
+    serve_p.add_argument("--cache-dir", default=None,
+                         help="result-cache root (default: the harness "
+                              "default; pass 'none' to disable)")
+    serve_p.add_argument("--journal", default=None, metavar="FILE",
+                         help="write-ahead journal path (enables crash "
+                              "recovery)")
+    serve_p.add_argument("--fsync", action="store_true",
+                         help="fsync every journal append")
+    serve_p.add_argument("--metrics-port", type=int, default=None,
+                         metavar="PORT",
+                         help="serve the Prometheus text exposition over "
+                              "HTTP on PORT (0: ephemeral; default: off)")
+    serve_p.add_argument("--events", default=None, metavar="FILE",
+                         help="append service telemetry to FILE (JSONL)")
+    serve_p.add_argument("--quiet", action="store_true",
+                         help="suppress the event narration on stderr")
     serve_p.set_defaults(func=_cmd_serve)
 
     submit_p = sub.add_parser(
@@ -970,9 +970,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    from repro.errors import ReproError
+
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        print(f"repro-paper {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -89,11 +89,3 @@ def run_cold_start(
             watts=run.avg_power_w, wall_s=time.perf_counter() - t0,
         ))
     return ColdStartResult(cold=results[0], warm=results[1])
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run_cold_start(bus=tel.stderr_bus()).format())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

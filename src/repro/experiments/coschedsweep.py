@@ -198,32 +198,3 @@ def run_cosched_sweep(
         records=list(records),
         seed=seed,
     )
-
-
-def write_default_profiles(path: str, **kwargs) -> ProfileStore:
-    """Regenerate the bundled profile artifact (committed to the repo)."""
-    result = run_cosched_sweep(**kwargs)
-    result.store.save(path)
-    return result.store
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    import argparse
-
-    from repro.harness import stderr_bus
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--write-default", metavar="PATH",
-        help="persist the resulting ProfileStore as JSON at PATH",
-    )
-    args = parser.parse_args()
-    result = run_cosched_sweep(harness=BatchExecutor(bus=stderr_bus()))
-    print(result.format())
-    if args.write_default:
-        result.store.save(args.write_default)
-        print(f"wrote {args.write_default}")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

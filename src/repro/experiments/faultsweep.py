@@ -185,13 +185,3 @@ def run_fault_sweep(
             dynamic=records[2 * k], fixed=records[2 * k + 1],
         )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    from repro.harness import stderr_bus
-
-    print(run_fault_sweep(harness=BatchExecutor(bus=stderr_bus())).format())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -134,16 +134,3 @@ def run_figure(
             ],
         )
     return out
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    from repro.harness import stderr_bus
-
-    harness = BatchExecutor(bus=stderr_bus())
-    for figure in FIGURES:
-        print(run_figure(figure, harness=harness).format())
-        print()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -292,13 +292,3 @@ def run_meter_sweep(
         ]
         result.audit_violations.extend(check_overhead_monotone(family))
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    from repro.harness import stderr_bus
-
-    print(run_meter_sweep(harness=BatchExecutor(bus=stderr_bus())).format())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

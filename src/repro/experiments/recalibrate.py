@@ -11,7 +11,7 @@ the multiplicative corrections:
 The result is written back into ``src/repro/calibration/residuals.py``.
 Run as::
 
-    python -m repro.experiments.recalibrate
+    repro-paper recalibrate
 """
 
 from __future__ import annotations
@@ -166,21 +166,3 @@ def write_residuals_module(
     buf.write("}")
     path.write_text(head + marker + buf.getvalue() + rest)
     return path
-
-
-def main() -> None:
-    import sys
-
-    maestro_only = "--maestro-only" in sys.argv
-    if maestro_only:
-        combos = [(app, "maestro") for app in THROTTLE_TABLES]
-        corrections = dict(residuals.RESIDUALS)
-        corrections.update(compute_residuals(verbose=True, combos=combos))
-    else:
-        corrections = compute_residuals(verbose=True)
-    path = write_residuals_module(corrections)
-    print(f"\nwrote {len(corrections)} corrections to {path}")
-
-
-if __name__ == "__main__":
-    main()

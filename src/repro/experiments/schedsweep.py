@@ -220,13 +220,3 @@ def run_sched_sweep(
     for key, record in zip(keys, records):
         result.cells[key] = record
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    from repro.harness import stderr_bus
-
-    print(run_sched_sweep(harness=BatchExecutor(bus=stderr_bus())).format())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -124,13 +124,3 @@ def run_sensitivity(
             )
         )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    from repro.harness import stderr_bus
-
-    print(run_sensitivity(harness=BatchExecutor(bus=stderr_bus())).format())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

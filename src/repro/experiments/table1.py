@@ -80,14 +80,3 @@ def run_table1(
             watts=record.watts,
         )
     return out
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    from repro.harness import stderr_bus
-
-    result = run_table1(harness=BatchExecutor(bus=stderr_bus()))
-    print(result.format())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -93,16 +93,3 @@ def run_table2(**kwargs) -> OptLevelResult:
 def run_table3(**kwargs) -> OptLevelResult:
     """Table III: ICC optimization-level sweep."""
     return run_opt_levels("icc", **kwargs)
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    from repro.harness import stderr_bus
-
-    harness = BatchExecutor(bus=stderr_bus())
-    print(run_table2(harness=harness).format())
-    print()
-    print(run_table3(harness=harness).format())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -174,22 +174,3 @@ def run_all_throttle_tables(
         app: _table_from_records(app, records[k * 3:(k + 1) * 3])
         for k, app in enumerate(apps)
     }
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    from repro.harness import stderr_bus
-
-    harness = BatchExecutor(bus=stderr_bus())
-    for app, result in run_all_throttle_tables(harness=harness).items():
-        print(result.format())
-        print()
-    for app in WELL_SCALING_APPS:
-        check = run_overhead_check(app, harness=harness)
-        print(
-            f"overhead check {app}: throttled={check.throttled} "
-            f"overhead={check.overhead:+.2%}"
-        )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -32,7 +32,6 @@ import contextlib
 import dataclasses
 import os
 import signal
-import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -857,7 +856,7 @@ class ExperimentService:
 
 
 # ----------------------------------------------------------------------
-# entry point (``repro-paper serve`` / ``python -m repro.service``)
+# entry point (``repro-paper serve``)
 # ----------------------------------------------------------------------
 def _install_signal_handlers(loop: asyncio.AbstractEventLoop,
                              service: ExperimentService) -> None:
@@ -871,7 +870,8 @@ def _install_signal_handlers(loop: asyncio.AbstractEventLoop,
             pass  # non-main thread or platform without signal support
 
 
-async def _serve(config: ServiceConfig, bus: TelemetryBus) -> None:
+async def serve(config: ServiceConfig, bus: TelemetryBus) -> None:
+    """Run a service until SIGTERM/SIGINT drains it."""
     service = ExperimentService(config, bus=bus)
     await service.start()
     _install_signal_handlers(asyncio.get_running_loop(), service)
@@ -880,93 +880,3 @@ async def _serve(config: ServiceConfig, bus: TelemetryBus) -> None:
         print(f"metrics exposition on http://{config.host}:"
               f"{service.metrics_port}/metrics", flush=True)
     await service.serve_forever()
-
-
-def add_serve_arguments(parser) -> None:
-    """Attach the ``serve`` options (shared with the ``repro-paper`` CLI)."""
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=7823,
-                        help="listen port (0: ephemeral, printed on start)")
-    parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("--queue-depth", type=int, default=64)
-    parser.add_argument("--timeout", type=float, default=120.0, metavar="S",
-                        help="per-attempt hard deadline (0: unbounded)")
-    parser.add_argument("--retries", type=int, default=2)
-    parser.add_argument("--redeliveries", type=int, default=2,
-                        help="crash redeliveries before poison quarantine")
-    parser.add_argument("--quota-rate", type=float, default=50.0)
-    parser.add_argument("--quota-burst", type=float, default=100.0)
-    parser.add_argument("--cache-dir", default=None,
-                        help="result-cache root (default: the harness "
-                             "default; pass 'none' to disable)")
-    parser.add_argument("--journal", default=None, metavar="FILE",
-                        help="write-ahead journal path (enables crash "
-                             "recovery)")
-    parser.add_argument("--fsync", action="store_true",
-                        help="fsync every journal append")
-    parser.add_argument("--metrics-port", type=int, default=None,
-                        metavar="PORT",
-                        help="serve the Prometheus text exposition over "
-                             "HTTP on PORT (0: ephemeral; default: off)")
-    parser.add_argument("--events", default=None, metavar="FILE",
-                        help="append service telemetry to FILE (JSONL)")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress the event narration on stderr")
-
-
-def serve_from_args(args) -> int:
-    """Run the service described by a parsed ``serve`` namespace."""
-    from repro.harness.cache import default_cache_root
-    from repro.harness.telemetry import JsonlSink
-
-    if args.cache_dir == "none":
-        cache_root = None
-    elif args.cache_dir is None:
-        cache_root = str(default_cache_root())
-    else:
-        cache_root = args.cache_dir
-
-    bus = TelemetryBus()
-    jsonl = None
-    if args.events:
-        jsonl = JsonlSink(args.events)
-        bus.subscribe(jsonl)
-    if not args.quiet:
-        from repro.service.client import ServiceEventPrinter
-
-        bus.subscribe(ServiceEventPrinter())
-
-    config = ServiceConfig(
-        host=args.host, port=args.port, workers=args.workers,
-        queue_depth=args.queue_depth,
-        timeout_s=(args.timeout if args.timeout > 0 else None),
-        retries=args.retries, max_redeliveries=args.redeliveries,
-        quota_rate=args.quota_rate, quota_burst=args.quota_burst,
-        cache_root=cache_root, journal_path=args.journal,
-        journal_fsync=args.fsync,
-        metrics_port=getattr(args, "metrics_port", None),
-    )
-    try:
-        asyncio.run(_serve(config, bus))
-    except KeyboardInterrupt:  # pragma: no cover - interactive only
-        pass
-    finally:
-        if jsonl is not None:
-            jsonl.close()
-    return 0
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    """Entry for ``python -m repro.service``."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="repro-paper serve",
-        description="always-on experiment service (NDJSON over TCP)",
-    )
-    add_serve_arguments(parser)
-    return serve_from_args(parser.parse_args(argv))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -37,7 +37,7 @@ QUEUED = [RunSpec("reduction", scale=0.05, seed=s) for s in (4, 5)]
 
 def _start_service(tmp_path):
     argv = [
-        sys.executable, "-m", "repro.service",
+        sys.executable, "-m", "repro.cli", "serve",
         "--port", "0", "--workers", "1", "--quiet",
         "--journal", str(tmp_path / "journal.jsonl"),
         "--cache-dir", str(tmp_path / "cache"),

@@ -38,6 +38,56 @@ def test_cli_rejects_unknown_app():
         main(["run", "not-an-app"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["faultsweep", "--apps", "nosuch", "--quick", "--no-cache", "--quiet"],
+    ["sensitivity", "nosuch", "--no-cache", "--quiet"],
+    ["metersweep", "--periods", "0.1,abc", "--quiet"],
+    ["coschedsweep", "--levels", "x", "--quiet"],
+    ["throttle", "nqueens", "--quiet"],
+], ids=["faultsweep-app", "sensitivity-app", "metersweep-periods",
+        "coschedsweep-levels", "throttle-app"])
+def test_cli_bad_input_exits_2_without_traceback(argv, capsys):
+    """Bad input is a usage or ``ReproError`` exit 2, never a traceback."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"repro-paper {argv[0]}: error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sched", "--execution", "analytic", "--jobs", "8", "--quiet"],
+    ["schedsweep", "--quick", "--no-cache", "--quiet"],
+], ids=["sched", "schedsweep"])
+def test_cli_observability_flags(argv, tmp_path, capsys):
+    """``--events/--metrics/--trace`` write a JSONL event log, a metrics
+    snapshot and a loadable Chrome trace."""
+    import json
+
+    from repro.obs import MetricsSnapshot
+
+    events, metrics, trace = (tmp_path / name for name in
+                              ("events.jsonl", "metrics.json", "trace.json"))
+    assert main(argv + ["--events", str(events), "--metrics", str(metrics),
+                        "--trace", str(trace)]) == 0
+    lines = events.read_text().splitlines()
+    assert lines
+    for line in lines:
+        assert "event" in json.loads(line)
+    snapshot = json.loads(metrics.read_text())
+    assert MetricsSnapshot.from_json_obj(snapshot).to_json_obj() == snapshot
+    chrome = json.loads(trace.read_text())
+    assert isinstance(chrome["traceEvents"], list)
+    for ev in chrome["traceEvents"]:
+        assert {"ph", "name", "pid"} <= set(ev)
+    err = capsys.readouterr().err
+    assert f"metrics snapshot written to {metrics}" in err
+    assert f"written to {trace}" in err
+
+
 def test_cli_parser_has_all_subcommands():
     parser = build_parser()
     text = parser.format_help()
