@@ -4,7 +4,7 @@ PYTHON ?= python
 
 COV_FAIL_UNDER ?= 80
 
-.PHONY: install test test-cosched test-faults test-golden test-harness test-metering test-obs test-validate test-sched test-service test-store validate-smoke sched-smoke serve-smoke metersweep-smoke store-smoke cosched-smoke obs-smoke coverage sweep-smoke smoke-faults bench bench-sweep bench-sched bench-service bench-store bench-cosched bench-obs reproduce recalibrate examples clean
+.PHONY: install test test-cosched test-faults test-golden test-harness test-metering test-obs test-validate test-sched test-service test-store validate-smoke sched-smoke serve-smoke metersweep-smoke store-smoke cosched-smoke obs-smoke coverage sweep-smoke smoke-faults bench bench-sweep bench-service bench-store bench-cosched bench-obs reproduce recalibrate examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -58,7 +58,7 @@ test-service:
 	$(PYTHON) -m pytest tests/ -m service
 
 # Sharded-store suite: content-addressed layout, sqlite ledger index,
-# legacy-cache compat and migration, multi-process contention.
+# compaction, multi-process contention.
 test-store:
 	$(PYTHON) -m pytest tests/ -m store
 
@@ -130,11 +130,6 @@ bench:
 # (read-only; refuses to rewrite BENCH_sweep.json without --update).
 bench-sweep:
 	$(PYTHON) benchmarks/bench_sweep.py
-
-# Cluster-scheduler throughput benchmark vs the committed baseline
-# (read-only; refuses to rewrite BENCH_sched.json without --update).
-bench-sched:
-	$(PYTHON) benchmarks/bench_sched.py
 
 # Service chaos benchmark: submit->result latency and throughput with a
 # worker-kill fault schedule running, vs the committed baseline

@@ -42,7 +42,7 @@ from repro.config import (
     ThrottleConfig,
 )
 
-__version__ = "1.1.0"
+__version__ = "1.2.0"
 
 __all__ = [
     "MachineConfig",

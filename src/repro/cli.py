@@ -408,12 +408,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         removed = cache.clear()
         print(f"removed {removed} cached result(s) from {cache.root}")
         return 0
-    if args.action == "migrate":
-        stats = cache.migrate()
-        print(f"migrated {cache.root} to the sharded layout: "
-              f"{stats['objects_moved']} payload(s) moved, "
-              f"{stats['ledger_lines']} legacy ledger line(s) resharded")
-        return 0
     if args.action == "compact":
         stats = cache.compact()
         print(f"compacted {stats['shards']} shard ledger(s): "
@@ -879,10 +873,10 @@ def build_parser() -> argparse.ArgumentParser:
     val_p.set_defaults(func=_cmd_validate)
 
     cache_p = sub.add_parser(
-        "cache", help="inspect, clear, migrate or compact the result cache"
+        "cache", help="inspect, clear, compact or reindex the result cache"
     )
     cache_p.add_argument(
-        "action", choices=["info", "clear", "migrate", "compact", "reindex"]
+        "action", choices=["info", "clear", "compact", "reindex"]
     )
     cache_p.add_argument("--cache-dir", default=None, metavar="DIR",
                          help="cache root (default: ~/.cache/repro-harness "

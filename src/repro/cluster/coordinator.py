@@ -17,6 +17,7 @@ contribution of its own.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -74,6 +75,13 @@ class PowerCoordinator:
     ) -> None:
         if not nodes:
             raise SimulationError("a cluster needs at least one node")
+        # A zero, negative or NaN period would reschedule the tick at the
+        # same instant forever, so sim time could never reach a deadline.
+        if not 0.0 < period_s < math.inf:
+            raise SimulationError(
+                f"coordination period must be a finite positive number of "
+                f"seconds, got {period_s!r}"
+            )
         if global_budget_w < NODE_FLOOR_W * len(nodes):
             raise SimulationError(
                 f"global budget {global_budget_w} W cannot cover the "
@@ -202,27 +210,41 @@ def run_cluster(
     ``engine`` lets callers supply (and keep a handle on) the shared
     event engine; tests use it to assert teardown leaves no timers behind.
     """
+    from repro.sched.workload import Job  # repro.sched imports this package
+
     engine = engine if engine is not None else Engine()
     nodes = [
         ClusterNode(
             f"node{i}",
             engine,
-            app=app,
-            compiler=compiler,
-            optlevel="O3" if compiler == "maestro" else "O2",
-            threads=threads,
             budget_w=global_budget_w / len(workloads),
+            threads=threads,
             seed=seed + i,
         )
-        for i, (app, compiler) in enumerate(workloads)
+        for i in range(len(workloads))
     ]
     coordinator = PowerCoordinator(engine, nodes, global_budget_w, period_s=period_s)
-    for node in nodes:
-        node.launch()
+    rows: dict[str, MeasurementRow] = {}
+
+    def on_finish(node, job, _start_s, report) -> None:
+        rows[node.name] = MeasurementRow(
+            label=f"{node.name}:{job.app}",
+            time_s=report.elapsed_s,
+            energy_j=report.energy_j,
+            avg_watts=report.avg_watts,
+        )
+
+    for i, (node, (app, compiler)) in enumerate(zip(nodes, workloads)):
+        node.on_finish = on_finish
+        node.start_job(Job(
+            index=i, submit_s=engine.now, app=app, threads=threads, scale=1.0,
+            compiler=compiler,
+            optlevel="O3" if compiler == "maestro" else "O2",
+        ))
     coordinator.start()
 
     # Daemons tick forever, so drive the engine in slices until every
-    # node's workload has completed.  The coordinator and per-node
+    # node's job has completed.  The coordinator and per-node
     # daemons/clamps hold repeating engine timers; a timeout (or any
     # other exception from the drive loop) must still cancel them, or
     # the events leak into any later use of the engine.
@@ -238,9 +260,8 @@ def run_cluster(
         coordinator.stop()
         for node in nodes:
             node.shutdown()
-    rows = [node.finish() for node in nodes]
     return ClusterResult(
-        rows=rows,
+        rows=[rows[node.name] for node in nodes],
         peak_power_w=coordinator.peak_cluster_power_w,
         global_budget_w=global_budget_w,
         samples=coordinator.samples,

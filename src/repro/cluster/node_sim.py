@@ -4,41 +4,58 @@ Each :class:`ClusterNode` owns its own simulated hardware, runtime,
 RCRdaemon, region client and power clamp; only the discrete-event engine
 is shared, so all nodes advance in one global timeline and the
 coordinator can read their meters coherently.
+
+A node runs a *sequence* of jobs: the runtime's root-task slot is reused
+per job (``spawn_root`` is re-armable once the previous root completes)
+and every job gets its own named measurement region, so per-job energy
+figures come from the same RCR path as the paper's single-node tables.
+Both multi-node tools build this class: :func:`~repro.cluster.\
+coordinator.run_cluster` gives each node one job, the scheduler's
+:class:`~repro.sched.cluster.ClusterSim` feeds nodes from its queue.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.apps import build_app
 from repro.config import MachineConfig, PAPER_MACHINE, RuntimeConfig
 from repro.errors import SimulationError
-from repro.measure.report import MeasurementRow
 from repro.openmp import OmpEnv
 from repro.qthreads import Runtime
-from repro.rcr import Blackboard, RCRDaemon, RegionClient, meters
+from repro.rcr import Blackboard, RCRDaemon, RegionClient, RegionReport, meters
 from repro.sim.engine import Engine
 from repro.throttle.clamp import PowerClampController
 
+if TYPE_CHECKING:  # pragma: no cover - repro.sched imports this package
+    from repro.sched.workload import Job
+
 
 class ClusterNode:
-    """A named node running one application under a local power clamp."""
+    """A named node that runs jobs in sequence under a local power clamp.
+
+    Presents the surface the
+    :class:`~repro.cluster.coordinator.PowerCoordinator` reads —
+    ``name``, ``clamp``, ``measured_power_w``, ``done``,
+    ``wants_more_power`` — where "done" means *idle*: an idle node bids
+    only the power floor, so budget flows to nodes with work.
+
+    Finished jobs are handed to ``on_finish(node, job, start_s, report)``
+    rather than accumulated here, so a node's memory footprint is
+    independent of how many jobs it has run.
+    """
 
     def __init__(
         self,
         name: str,
         engine: Engine,
         *,
-        app: str,
-        compiler: str = "maestro",
-        optlevel: str = "O3",
+        budget_w: float,
         threads: int = 16,
-        budget_w: float = 160.0,
         machine: MachineConfig = PAPER_MACHINE,
         seed: int = 0,
     ) -> None:
         self.name = name
-        self.app = app
         self.engine = engine
         self.runtime = Runtime(
             machine,
@@ -57,36 +74,21 @@ class ClusterNode:
             engine, self.runtime.scheduler, self.blackboard, budget_w
         )
         self.clamp.start()
-        self._program_kwargs = dict(app=app, compiler=compiler, optlevel=optlevel)
-        self._env = OmpEnv(num_threads=threads)
-        self._launched = False
-        self._start_time: Optional[float] = None
-        self._report = None
+        self.on_finish: Optional[
+            Callable[[ClusterNode, Job, float, RegionReport], None]
+        ] = None
+        self._current: Optional[Job] = None
+        self._start_s = 0.0
 
-    # ------------------------------------------------------------------
-    def launch(self, **app_kwargs: Any) -> None:
-        """Start the node's workload (root task + measurement region)."""
-        if self._launched:
-            raise SimulationError(f"node {self.name} already launched")
-        self._launched = True
-        self._start_time = self.engine.now
-        self.client.start(self.name)
-        program = build_app(
-            self._program_kwargs["app"],
-            self._env,
-            compiler=self._program_kwargs["compiler"],
-            optlevel=self._program_kwargs["optlevel"],
-            **app_kwargs,
-        )
-        root = self.runtime.spawn_root(program, label=self.name)
-        # Close the measurement region the instant this node's workload
-        # completes — other nodes keep running on the shared engine.
-        root.add_listener(lambda _task: self._close_region())
-
+    # ------------------------------------------- coordinator interface
     @property
     def done(self) -> bool:
-        """True once the node's workload finished."""
-        return self._launched and self.runtime.root_done
+        """True while the node is idle (bids only the floor)."""
+        return self._current is None
+
+    @property
+    def busy(self) -> bool:
+        return self._current is not None
 
     @property
     def measured_power_w(self) -> float:
@@ -95,34 +97,50 @@ class ClusterNode:
 
     @property
     def wants_more_power(self) -> bool:
-        """True while the local clamp is actively shedding threads."""
-        return (
-            not self.done
-            and self.clamp.active_limit < len(self.runtime.scheduler.workers)
-        )
+        """True while a job runs and the local clamp is shedding threads."""
+        return self.busy and self.clamp.pressure > 0.0
 
-    def _close_region(self) -> None:
-        self.daemon.sample_now()
-        self._report = self.client.end(self.name)
+    # ----------------------------------------------------- job lifecycle
+    def start_job(self, job: Job) -> None:
+        """Dispatch ``job`` onto this node (must be idle)."""
+        if self._current is not None:
+            raise SimulationError(
+                f"node {self.name} is busy with j{self._current.index}; "
+                f"cannot place j{job.index}"
+            )
+        self._current = job
+        self._start_s = self.engine.now
+        region = self._region_name(job)
+        self.client.start(region)
+        program = build_app(
+            job.app,
+            OmpEnv(num_threads=job.threads),
+            compiler=job.compiler,
+            optlevel=job.optlevel,
+            scale=job.scale,
+        )
+        root = self.runtime.spawn_root(program, label=region)
+        # Close the measurement region the instant this job completes —
+        # other nodes keep running on the shared engine.
+        root.add_listener(lambda _task: self._finish_job())
+
+    def _region_name(self, job: Job) -> str:
+        return f"{self.name}:j{job.index}"
+
+    def _finish_job(self) -> None:
+        job = self._current
+        assert job is not None
+        report = self.client.end(self._region_name(job))
+        self._current = None
+        if self.on_finish is not None:
+            self.on_finish(self, job, self._start_s, report)
 
     def shutdown(self) -> None:
         """Cancel the node's repeating timers (clamp + daemon ticks).
 
-        Idempotent, and safe to call whether or not the workload has
-        finished — the cluster harness calls it from a ``finally`` so a
-        timed-out run cannot leak scheduled events into the engine.
+        Idempotent, and safe to call whether or not a job is running —
+        the cluster drivers call it from a ``finally`` so a timed-out run
+        cannot leak scheduled events into the engine.
         """
         self.clamp.stop()
         self.daemon.stop()
-
-    def finish(self) -> MeasurementRow:
-        """Stop the node's daemons; returns the workload's summary row."""
-        if not self.done or self._report is None:
-            raise SimulationError(f"node {self.name} has not finished")
-        self.shutdown()
-        return MeasurementRow(
-            label=f"{self.name}:{self.app}",
-            time_s=self._report.elapsed_s,
-            energy_j=self._report.energy_j,
-            avg_watts=self._report.avg_watts,
-        )

@@ -6,7 +6,6 @@ Layout under the cache root::
     ledgers/<shard>.jsonl                       # append-only audit trail
     ledgers/<shard>.lock                        # stable per-shard lock file
     index.sqlite                                # derived fold of the ledgers
-    ledger.jsonl                                # legacy (read-only compat)
 
 Entries are keyed by the :class:`~repro.harness.spec.RunSpec` content
 digest *and* a code version stamp, so a cache hit certifies both "same
@@ -41,10 +40,9 @@ Concurrency discipline:
   concurrent readers serialise and never double-count a ledger tail.
 
 Reads are defensive: a missing, truncated or unpicklable payload is a
-miss, never an error.  Caches written by the previous flat layout keep
-working — ``get`` falls back to the flat payload path and the root
-``ledger.jsonl`` is folded as a read-only pseudo-shard — and
-:meth:`ResultCache.migrate` rewrites them in place.
+miss, never an error.  Caches written by the pre-shard flat layout are
+not read: they carry an older version stamp, so every lookup misses and
+the entries are regenerated.
 """
 
 from __future__ import annotations
@@ -74,9 +72,6 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: Ledger entries without a usable digest (probes, audit notes) land here.
 MISC_SHARD = "_misc"
-
-#: Pseudo-shard name under which the legacy root ledger is indexed.
-LEGACY_SHARD = "_legacy"
 
 _SHARD_RE = re.compile(r"[0-9a-f]{2}")
 
@@ -143,14 +138,6 @@ class ResultCache:
             / f"{digest}.pkl"
         )
 
-    def _legacy_object_path(self, spec: RunSpec) -> Path:
-        return self.root / "objects" / self.stamp / f"{spec.digest}.pkl"
-
-    @property
-    def ledger_path(self) -> Path:
-        """The *legacy* flat ledger (read-only compat; never appended)."""
-        return self.root / "ledger.jsonl"
-
     @property
     def ledgers_dir(self) -> Path:
         return self.root / "ledgers"
@@ -166,13 +153,12 @@ class ResultCache:
 
     def _shard_files(self) -> list[tuple[str, Path]]:
         """Every ledger file to fold, as ``(shard, path)`` pairs."""
-        shards: list[tuple[str, Path]] = []
-        if self.ledger_path.exists():
-            shards.append((LEGACY_SHARD, self.ledger_path))
-        if self.ledgers_dir.is_dir():
-            for path in sorted(self.ledgers_dir.glob("*.jsonl")):
-                shards.append((path.stem, path))
-        return shards
+        if not self.ledgers_dir.is_dir():
+            return []
+        return [
+            (path.stem, path)
+            for path in sorted(self.ledgers_dir.glob("*.jsonl"))
+        ]
 
     def _sync_index(self) -> None:
         self.index.sync(self._shard_files())
@@ -210,19 +196,12 @@ class ResultCache:
         the stored payload must carry a ``spec`` equal to the lookup key,
         which both authenticates the entry against digest collisions and
         replaces a hard type check — scheduler results cache here too.
-        Entries written by the pre-shard flat layout are found via the
-        legacy path, so old caches keep hitting without a migrate.
         """
-        record = None
-        for path in (self._object_path(spec), self._legacy_object_path(spec)):
-            try:
-                with path.open("rb") as fh:
-                    record = pickle.load(fh)
-                break
-            except (OSError, pickle.UnpicklingError, EOFError,
-                    AttributeError, ImportError, IndexError):
-                continue
-        if record is None:
+        try:
+            with self._object_path(spec).open("rb") as fh:
+                record = pickle.load(fh)
+        except (OSError, pickle.UnpicklingError, EOFError,
+                AttributeError, ImportError, IndexError):
             self.misses += 1
             return None
         try:
@@ -339,7 +318,7 @@ class ResultCache:
         return entries
 
     def ledger_entries(self) -> list[dict[str, Any]]:
-        """Every complete ledger line across all shards (legacy first).
+        """Every complete ledger line across all shards.
 
         O(total lines) — this is the audit path, not the query path; use
         :meth:`execution_counts` / :meth:`info` for indexed summaries.
@@ -381,10 +360,6 @@ class ResultCache:
         if objects.exists():
             removed = sum(1 for _ in objects.rglob("*.pkl"))
             shutil.rmtree(objects, ignore_errors=True)
-        try:
-            self.ledger_path.unlink()
-        except OSError:
-            pass
         if self.ledgers_dir.is_dir():
             for path in self.ledgers_dir.glob("*.jsonl"):
                 try:
@@ -505,58 +480,3 @@ class ResultCache:
             "lines_before": lines_before,
             "lines_after": lines_after,
         }
-
-    def migrate(self) -> dict[str, int]:
-        """Rewrite a legacy flat cache into the sharded layout in place.
-
-        Moves ``objects/<stamp>/<digest>.pkl`` payloads into their
-        ``<digest[:2]>/`` fan-out directories, copies the root
-        ``ledger.jsonl`` lines into their shard ledgers (then removes
-        it), and rebuilds the index.  Idempotent, and exact:
-        :meth:`execution_counts` before and after are identical because
-        every legacy line survives verbatim in its shard.
-        """
-        objects = self.root / "objects"
-        moved = 0
-        if objects.is_dir():
-            for stamp_dir in sorted(objects.iterdir()):
-                if not stamp_dir.is_dir():
-                    continue
-                for payload in sorted(stamp_dir.glob("*.pkl")):
-                    digest = payload.stem
-                    target_dir = stamp_dir / shard_for(digest)
-                    target_dir.mkdir(parents=True, exist_ok=True)
-                    try:
-                        os.replace(payload, target_dir / payload.name)
-                        moved += 1
-                    except OSError:
-                        continue
-        lines = 0
-        try:
-            raw = self.ledger_path.read_bytes()
-        except OSError:
-            raw = b""
-        if raw:
-            grouped: dict[str, list[bytes]] = {}
-            for entry in self._parse_lines(raw):
-                shard = shard_for(entry.get("digest"))
-                line = (json.dumps(entry, sort_keys=True) + "\n").encode()
-                grouped.setdefault(shard, []).append(line)
-                lines += 1
-            for shard, shard_lines in sorted(grouped.items()):
-                with self._shard_lock(shard):
-                    fd = os.open(
-                        self.shard_ledger_path(shard),
-                        os.O_WRONLY | os.O_APPEND | os.O_CREAT,
-                        0o644,
-                    )
-                    try:
-                        os.write(fd, b"".join(shard_lines))
-                    finally:
-                        os.close(fd)
-            try:
-                self.ledger_path.unlink()
-            except OSError:
-                pass
-        self.reindex()
-        return {"objects_moved": moved, "ledger_lines": lines}

@@ -15,10 +15,11 @@ streaming everything.
   best-fit power packing, EDP-greedy, power-aware water-filling, and
   the profile-driven ``predicted`` policy backed by
   :mod:`repro.cosched`);
-* :mod:`~repro.sched.cluster` — the multi-node simulation: sequential
-  jobs per node, the global :class:`~repro.cluster.coordinator.\
-PowerCoordinator` re-dividing the budget, hardened teardown, windowed
-  streaming arrivals;
+* :mod:`~repro.sched.cluster` — the multi-node simulation: jobs run in
+  sequence on the same :class:`~repro.cluster.node_sim.ClusterNode`
+  stack ``run_cluster`` uses, the global :class:`~repro.cluster.\
+coordinator.PowerCoordinator` re-dividing the budget, hardened teardown,
+  windowed streaming arrivals;
 * :mod:`~repro.sched.sketch` / :mod:`~repro.sched.aggregate` — the
   streaming aggregation spine: deterministic quantile sketches and O(1)
   accumulators so result size is independent of job count;
@@ -43,7 +44,7 @@ from repro.sched.checkpoint import (
     run_segmented,
     save_checkpoint,
 )
-from repro.sched.cluster import ClusterSim, SchedNode, build_result, run_sched
+from repro.sched.cluster import ClusterSim, build_result, run_sched
 from repro.sched.policy import (
     POLICIES,
     ClusterState,
@@ -84,7 +85,6 @@ __all__ = [
     "RooflinePoint",
     "SchedAccumulator",
     "SchedCheckpoint",
-    "SchedNode",
     "SchedResult",
     "SchedSpec",
     "SchedStats",

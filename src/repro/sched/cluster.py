@@ -1,8 +1,9 @@
 """The multi-node scheduled cluster simulation.
 
-One shared discrete-event engine carries N :class:`SchedNode` stacks
-(each the full single-node pipeline: simulated hardware, qthreads
-runtime, RCRdaemon, region client, power clamp), the existing
+One shared discrete-event engine carries N
+:class:`~repro.cluster.node_sim.ClusterNode` stacks (each the full
+single-node pipeline: simulated hardware, qthreads runtime, RCRdaemon,
+region client, power clamp, running its jobs in sequence), the existing
 :class:`~repro.cluster.coordinator.PowerCoordinator` re-dividing the
 global budget, and the scheduler itself: trace arrivals feed a bounded
 :class:`~repro.sched.queue.AdmissionQueue`, and a repeating scheduling
@@ -24,13 +25,6 @@ runner in :mod:`repro.sched.checkpoint` drives one fresh sim per
 segment, draining between segments, which is what makes kill-and-resume
 bit-identical to an uninterrupted segmented run.
 
-Unlike :class:`~repro.cluster.node_sim.ClusterNode` (one workload per
-node, then done), a :class:`SchedNode` runs a *sequence* of jobs: the
-runtime's root-task slot is reused per job (``spawn_root`` is re-armable
-once the previous root completes) and every job gets its own named
-measurement region, so per-job energy figures come from the same
-RCR path as the paper's single-node tables.
-
 Teardown mirrors the hardened ``run_cluster`` contract: the coordinator,
 the scheduling tick and every node's clamp/daemon timers are cancelled
 in a ``finally``, so even a timed-out run leaves no repeating events in
@@ -43,13 +37,9 @@ import itertools
 import time
 from typing import TYPE_CHECKING, Optional
 
-from repro.apps import build_app
-from repro.config import MachineConfig, PAPER_MACHINE, RuntimeConfig
 from repro.errors import SimulationError
 from repro.harness.telemetry import TelemetryBus
-from repro.openmp import OmpEnv
-from repro.qthreads import Runtime
-from repro.rcr import Blackboard, RCRDaemon, RegionClient, meters
+from repro.rcr import RegionReport
 from repro.sched import telemetry as stel
 from repro.sched.aggregate import SchedAccumulator
 from repro.sched.policy import (
@@ -63,9 +53,8 @@ from repro.sched.result import JobRecord, SchedResult
 from repro.sched.workload import Job, iter_trace
 from repro.sim.engine import Engine
 from repro.sim.events import Priority
-from repro.throttle.clamp import PowerClampController
 
-from repro.cluster.coordinator import PowerCoordinator
+from repro.cluster import ClusterNode, PowerCoordinator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sched.spec import SchedSpec
@@ -76,122 +65,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: — arrival *times* come from the trace, so any value >= 1 produces the
 #: identical simulation.
 ARRIVAL_WINDOW = 64
-
-
-class SchedNode:
-    """One cluster node that runs scheduler-dispatched jobs in sequence.
-
-    Presents the same duck-typed surface the
-    :class:`~repro.cluster.coordinator.PowerCoordinator` reads off
-    ``ClusterNode`` — ``name``, ``clamp``, ``measured_power_w``,
-    ``done``, ``wants_more_power`` — where "done" means *idle*: an idle
-    node bids only the power floor, so budget flows to nodes with work.
-
-    Finished jobs are handed to the owning sim's ``_on_finish`` callback
-    rather than accumulated here, so a node's memory footprint is
-    independent of how many jobs it has run.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        engine: Engine,
-        *,
-        threads: int = 16,
-        budget_w: float = 100.0,
-        machine: MachineConfig = PAPER_MACHINE,
-        seed: int = 0,
-    ) -> None:
-        self.name = name
-        self.engine = engine
-        self.runtime = Runtime(
-            machine,
-            RuntimeConfig(num_threads=threads),
-            engine=engine,
-            seed=seed,
-            stop_engine_on_done=False,
-        )
-        self.blackboard = Blackboard()
-        self.daemon = RCRDaemon(engine, self.runtime.node, self.blackboard)
-        self.daemon.start()
-        self.client = RegionClient(
-            engine, self.blackboard, machine.sockets, daemon=self.daemon
-        )
-        self.clamp = PowerClampController(
-            engine, self.runtime.scheduler, self.blackboard, budget_w
-        )
-        self.clamp.start()
-        self._current: Optional[Job] = None
-        self._start_s = 0.0
-        self._on_finish = None  # set by ClusterSim
-
-    # ------------------------------------------ coordinator duck-typing
-    @property
-    def done(self) -> bool:
-        """True while the node is idle (bids only the floor)."""
-        return self._current is None
-
-    @property
-    def busy(self) -> bool:
-        return self._current is not None
-
-    @property
-    def measured_power_w(self) -> float:
-        return self.blackboard.read_value(meters.NODE_POWER_W, default=0.0)
-
-    @property
-    def wants_more_power(self) -> bool:
-        return self.busy and self.clamp.pressure > 0.0
-
-    # ----------------------------------------------------- job lifecycle
-    def start_job(self, job: Job) -> None:
-        """Dispatch ``job`` onto this node (must be idle)."""
-        if self._current is not None:
-            raise SimulationError(
-                f"node {self.name} is busy with j{self._current.index}; "
-                f"cannot place j{job.index}"
-            )
-        self._current = job
-        self._start_s = self.engine.now
-        region = self._region_name(job)
-        self.client.start(region)
-        program = build_app(
-            job.app,
-            OmpEnv(num_threads=job.threads),
-            compiler=job.compiler,
-            optlevel=job.optlevel,
-            scale=job.scale,
-        )
-        root = self.runtime.spawn_root(program, label=f"{self.name}:j{job.index}")
-        root.add_listener(lambda _task: self._finish_job())
-
-    def _region_name(self, job: Job) -> str:
-        return f"{self.name}:j{job.index}"
-
-    def _finish_job(self) -> None:
-        job = self._current
-        assert job is not None
-        report = self.client.end(self._region_name(job))
-        record = JobRecord(
-            index=job.index,
-            app=job.app,
-            threads=job.threads,
-            node=self.name,
-            submit_s=job.submit_s,
-            start_s=self._start_s,
-            finish_s=self.engine.now,
-            time_s=report.elapsed_s,
-            energy_j=report.energy_j,
-            avg_watts=report.avg_watts,
-        )
-        self._current = None
-        if self._on_finish is not None:
-            self._on_finish(self, record)
-
-    def shutdown(self) -> None:
-        """Cancel the node's repeating timers (idempotent)."""
-        self.clamp.stop()
-        self.daemon.stop()
 
 
 def build_result(
@@ -306,11 +179,11 @@ class ClusterSim:
         self.records: list[JobRecord] = records if records is not None else []
         self.queue = AdmissionQueue(spec.queue_depth)
         self.nodes = [
-            SchedNode(
+            ClusterNode(
                 f"node{i}",
                 self.engine,
-                threads=spec.node_threads,
                 budget_w=spec.budget_w / spec.nodes,
+                threads=spec.node_threads,
                 seed=spec.seed + i,
             )
             for i in range(spec.nodes)
@@ -329,7 +202,7 @@ class ClusterSim:
         #: Segment start clock; the time limit is relative to it.
         self._t0_sim = self.engine.now
         for node in self.nodes:
-            node._on_finish = self._job_finished
+            node.on_finish = self._job_finished
 
     # ------------------------------------------------------------------
     def run(self) -> SchedResult:
@@ -443,7 +316,21 @@ class ClusterSim:
             self._dispatch()
         return fire
 
-    def _job_finished(self, node: SchedNode, record: JobRecord) -> None:
+    def _job_finished(
+        self, node: ClusterNode, job: Job, start_s: float, report: RegionReport
+    ) -> None:
+        record = JobRecord(
+            index=job.index,
+            app=job.app,
+            threads=job.threads,
+            node=node.name,
+            submit_s=job.submit_s,
+            start_s=start_s,
+            finish_s=self.engine.now,
+            time_s=report.elapsed_s,
+            energy_j=report.energy_j,
+            avg_watts=report.avg_watts,
+        )
         if self.tracer is not None:
             span = self._job_spans.pop(node.name, None)
             if span is not None:

@@ -1,7 +1,4 @@
-"""Sharded content-addressed store: layout, index, compat, migration."""
-
-import json
-import pickle
+"""Sharded content-addressed store: layout, index, compaction."""
 
 import pytest
 
@@ -13,23 +10,6 @@ pytestmark = pytest.mark.store
 @pytest.fixture(scope="module")
 def record():
     return execute_spec(RunSpec("mergesort", scale=0.05))
-
-
-def _legacy_populate(root, cache, specs, record, puts_per_digest=1):
-    """Write a pre-shard cache by hand: flat payloads + root ledger."""
-    lines = []
-    for spec in specs:
-        flat = root / "objects" / cache.stamp / f"{spec.digest}.pkl"
-        flat.parent.mkdir(parents=True, exist_ok=True)
-        import dataclasses
-        flat.write_bytes(pickle.dumps(dataclasses.replace(record, spec=spec)))
-        for _ in range(puts_per_digest):
-            lines.append(json.dumps(
-                {"op": "put", "stamp": cache.stamp, "kind": "RunSpec",
-                 "digest": spec.digest},
-                sort_keys=True,
-            ))
-    (root / "ledger.jsonl").write_text("\n".join(lines) + "\n")
 
 
 def test_put_fans_out_by_digest_prefix(tmp_path, record):
@@ -49,39 +29,6 @@ def test_shard_for_routes_garbage_to_misc():
     assert shard_for("") == "_misc"
     assert shard_for("ZZnothex") == "_misc"
     assert shard_for(42) == "_misc"
-
-
-def test_legacy_flat_payloads_still_hit_without_migration(tmp_path, record):
-    cache = ResultCache(root=tmp_path)
-    spec = RunSpec("mergesort", scale=0.05, seed=5)
-    _legacy_populate(tmp_path, cache, [spec], record)
-    got = cache.get(spec)
-    assert got is not None and got.spec == spec
-    # And the legacy ledger is visible to the audit and count paths.
-    assert cache.execution_counts() == {spec.digest: 1}
-    assert len(cache.ledger_entries()) == 1
-
-
-def test_migrate_round_trips_counts_exactly(tmp_path, record):
-    cache = ResultCache(root=tmp_path)
-    specs = [RunSpec("mergesort", scale=0.05, seed=s) for s in range(5)]
-    _legacy_populate(tmp_path, cache, specs, record, puts_per_digest=3)
-    before = cache.execution_counts()
-    assert sorted(before.values()) == [3] * 5
-
-    stats = cache.migrate()
-    assert stats == {"objects_moved": 5, "ledger_lines": 15}
-    assert not cache.ledger_path.exists()
-
-    fresh = ResultCache(root=tmp_path)
-    assert fresh.execution_counts() == before
-    for spec in specs:
-        assert fresh.get(spec).spec == spec
-        flat = tmp_path / "objects" / cache.stamp / f"{spec.digest}.pkl"
-        assert not flat.exists()
-    # Idempotent: a second migrate is a no-op.
-    assert fresh.migrate() == {"objects_moved": 0, "ledger_lines": 0}
-    assert fresh.execution_counts() == before
 
 
 def test_compact_preserves_counts_and_shrinks(tmp_path, record):

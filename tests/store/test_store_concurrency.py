@@ -3,7 +3,7 @@
 The store's whole claim is that concurrent writers (service workers,
 CLI sweeps) and readers (``info``/``execution_counts``) can share a
 cache root without torn ledger lines, lost puts, or crashed queries —
-including while a ``clear()`` or ``migrate()`` runs mid-flight.  These
+including while a ``clear()`` runs mid-flight.  These
 tests hammer those paths with real forked processes.
 """
 
@@ -100,26 +100,3 @@ def test_clear_mid_flight_never_tears_or_crashes(tmp_path, record):
     assert cache.execution_counts() == {spec.digest: 1}
 
 
-def test_migrate_mid_flight_keeps_every_put(tmp_path, record):
-    # Seed a legacy cache (flat root ledger), then migrate while two
-    # writers append new-format puts: the final counts must hold the
-    # legacy lines AND every concurrent put, each exactly once.
-    cache = ResultCache(root=tmp_path)
-    legacy_specs = [RunSpec("mergesort", scale=0.05, seed=900000 + s)
-                    for s in range(8)]
-    lines = [json.dumps({"op": "put", "stamp": cache.stamp,
-                         "kind": "RunSpec", "digest": s.digest},
-                        sort_keys=True)
-             for s in legacy_specs]
-    (tmp_path / "ledger.jsonl").write_text("\n".join(lines) + "\n")
-
-    writers = [_fork(_put_worker, str(tmp_path), who, record)
-               for who in (1, 2)]
-    cache.migrate()
-    for proc in writers:
-        proc.join(120)
-        assert proc.exitcode == 0
-
-    counts = ResultCache(root=tmp_path).execution_counts()
-    assert len(counts) == len(legacy_specs) + 2 * PUTS_PER_WRITER
-    assert all(n == 1 for n in counts.values())

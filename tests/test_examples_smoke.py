@@ -1,9 +1,8 @@
 """Smoke tests: the example scripts run end-to-end.
 
 Examples are user-facing documentation; a broken one is a broken
-deliverable.  The fast ones run here; the long sweeps
-(autotune_energy, cluster_power_budget, energy_sweep) are exercised by
-their underlying APIs' own tests and the benchmark harness.
+deliverable.  Every example runs here (each takes a few seconds) and
+must print its characteristic output.
 """
 
 import runpy
@@ -50,6 +49,22 @@ def test_timeline_trace_runs(capsys):
     out = capsys.readouterr().out
     assert "Node power over the run" in out
     assert "time_s,node_power_w" in out
+
+
+#: Example -> a line fragment only its successful run prints.
+MARKERS = {
+    "autotune_energy.py": "optima — time:",
+    "cluster_power_budget.py": "peak coordinated cluster power",
+    "custom_app.py": "Monte-Carlo pi",
+    "energy_sweep.py": "minimum energy at",
+    "power_measurement.py": "rapl_wraps",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MARKERS))
+def test_example_runs(capsys, name):
+    _run_example(name)
+    assert MARKERS[name] in capsys.readouterr().out
 
 
 def test_example_files_all_present():

@@ -218,14 +218,26 @@ def test_coordinator_budgets_never_exceed_global():
             assert budget >= 60.0  # NODE_FLOOR_W
 
 
-def test_cluster_node_lifecycle_errors():
-    engine = Engine()
-    node = ClusterNode("n", engine, app="bots-sort", compiler="gcc", optlevel="O2")
-    with pytest.raises(SimulationError):
-        node.finish()  # never launched
-    node.launch()
-    with pytest.raises(SimulationError):
-        node.launch()  # double launch
+def test_cluster_node_rejects_a_second_job_while_busy():
+    from repro.sched.workload import Job
+
+    node = ClusterNode("n", Engine(), budget_w=160.0)
+    job = Job(index=0, submit_s=0.0, app="bots-sort", threads=16, scale=1.0)
+    node.start_job(job)
+    assert node.busy
+    with pytest.raises(SimulationError, match="busy with j0"):
+        node.start_job(Job(index=1, submit_s=0.0, app="bots-sort",
+                           threads=16, scale=1.0))
+    node.shutdown()
+
+
+@pytest.mark.parametrize("period_s", [0.0, -1.0, float("nan")])
+def test_coordinator_rejects_non_positive_period(period_s):
+    """Regression: a zero period rescheduled the coordinator tick at the
+    same instant forever, so run_cluster never reached its time limit."""
+    with pytest.raises(SimulationError, match="coordination period"):
+        run_cluster([("bots-health", "maestro")], 160.0,
+                    period_s=period_s, time_limit_s=5.0)
 
 
 def test_coordinator_requires_nodes():

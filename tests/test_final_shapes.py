@@ -41,8 +41,7 @@ def test_icc_poor_scalers_match_gcc_shapes(icc_sweeps):
 def _idle_cluster(n_nodes, budget):
     engine = Engine()
     nodes = [
-        ClusterNode(f"n{i}", engine, app="bots-sort", compiler="gcc",
-                    optlevel="O2", budget_w=budget / n_nodes)
+        ClusterNode(f"n{i}", engine, budget_w=budget / n_nodes)
         for i in range(n_nodes)
     ]
     coordinator = PowerCoordinator(engine, nodes, budget)
