@@ -4,13 +4,16 @@ PYTHON ?= python
 
 COV_FAIL_UNDER ?= 80
 
-.PHONY: install test test-cosched test-faults test-golden test-harness test-metering test-obs test-validate test-sched test-service test-store validate-smoke sched-smoke serve-smoke metersweep-smoke store-smoke cosched-smoke obs-smoke coverage sweep-smoke smoke-faults bench bench-sweep bench-service bench-store bench-cosched bench-obs reproduce recalibrate examples clean
+.PHONY: install test test-cosched test-faults test-golden test-harness test-metering test-obs test-validate test-sched test-service test-store validate-smoke sched-smoke serve-smoke metersweep-smoke cosched-smoke obs-smoke coverage sweep-smoke smoke-faults bench reproduce recalibrate examples clean
 
 install:
 	pip install -e . --no-build-isolation
 
-test: sweep-smoke sched-smoke serve-smoke metersweep-smoke store-smoke cosched-smoke obs-smoke
+# Everything CI's tier-1 job runs: the suite, the benchmark's own helper
+# tests, and every end-to-end smoke.
+test: sweep-smoke validate-smoke sched-smoke metersweep-smoke smoke-faults serve-smoke cosched-smoke obs-smoke
 	$(PYTHON) -m pytest tests/
+	$(PYTHON) -m pytest perfbench -q
 
 # Co-scheduling suite: contention injectors, co-run profiling sweep,
 # the interference predictor and the profile-driven placement policy.
@@ -97,12 +100,6 @@ cosched-smoke:
 obs-smoke:
 	PYTHONPATH=src:$$PYTHONPATH $(PYTHON) -m repro.obs.smoke
 
-# End-to-end store smoke: a read-only pass of the store benchmark,
-# which pins exactly-once counts, warm-query offset coverage and
-# count-preserving compaction against a throwaway cache root.
-store-smoke:
-	$(PYTHON) benchmarks/bench_store.py
-
 # Line-coverage over the full suite with a ratcheted floor.  Requires
 # pytest-cov (pip install -e .[cov]); fails fast with a hint otherwise.
 coverage:
@@ -113,7 +110,10 @@ coverage:
 
 # End-to-end harness smoke: a tiny 4-spec parallel sweep into a throwaway
 # cache, run twice — the first pass must execute everything, the second
-# must be served entirely from the cache with bit-identical records.
+# must be served entirely from the cache with bit-identical records —
+# then a 400-put burst into a throwaway sharded store, which must count
+# every digest exactly once, leave no ledger byte unfolded after a warm
+# query, and keep every count through compaction.
 sweep-smoke:
 	PYTHONPATH=src:$$PYTHONPATH $(PYTHON) -m repro.harness.smoke
 
@@ -123,36 +123,10 @@ sweep-smoke:
 smoke-faults:
 	PYTHONPATH=src:$$PYTHONPATH $(PYTHON) -m repro.cli faultsweep --quick --seed 0
 
+# The benchmark declared in BENCHMARK.json: every workload end to end,
+# with per-layer self time (see perfbench/README.md).
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-# Serial-vs-parallel sweep benchmark vs the committed baseline
-# (read-only; refuses to rewrite BENCH_sweep.json without --update).
-bench-sweep:
-	$(PYTHON) benchmarks/bench_sweep.py
-
-# Service chaos benchmark: submit->result latency and throughput with a
-# worker-kill fault schedule running, vs the committed baseline
-# (read-only; refuses to rewrite BENCH_service.json without --update).
-bench-service:
-	$(PYTHON) benchmarks/bench_service.py
-
-# Sharded-store benchmark: put/get throughput and warm indexed-query
-# latency vs the committed baseline (BENCH_store.json).
-bench-store:
-	$(PYTHON) benchmarks/bench_store.py
-
-# Co-scheduling benchmark: profiling-sweep throughput plus predictor
-# fit/predict latency vs the committed baseline (read-only; refuses to
-# rewrite BENCH_cosched.json without --update).
-bench-cosched:
-	$(PYTHON) benchmarks/bench_cosched.py
-
-# Observability overhead benchmark: record latencies plus the
-# instrumented-vs-bare sweep gap, which must stay under the 5% cap
-# (read-only; refuses to rewrite BENCH_obs.json without --update).
-bench-obs:
-	$(PYTHON) benchmarks/bench_obs.py
+	$(PYTHON) perfbench/run.py
 
 # Regenerate EXPERIMENTS.md (runs the full evaluation, ~5-10 minutes).
 reproduce:

@@ -332,7 +332,7 @@ python -m repro.cli figure fig1 --events run.jsonl # JSONL event log
 python -m repro.cli cache info                     # inspect the cache
 python -m repro.cli cache clear                    # drop it
 make sweep-smoke                                   # parallel + cache-hit check
-python benchmarks/bench_sweep.py                   # serial vs parallel timing
+python3 perfbench/run.py --workload paper-tables   # serial vs 2-worker timing
 ```
 
 Cache entries are keyed by the spec's content digest *and* a code stamp

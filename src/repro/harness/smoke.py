@@ -8,6 +8,15 @@ the harness exists to provide:
 2. the second, identical pass is served *entirely* from the cache;
 3. both passes return bit-identical records in the same order.
 
+A third phase drives the sharded store directly with a burst of
+distinct puts in its own throwaway root and pins its bookkeeping:
+
+4. every digest in the burst counts exactly once;
+5. after a warm query each shard's indexed offset equals its ledger
+   size, so no ledger byte is left unfolded;
+6. ``compact()`` leaves every execution count unchanged, in the live
+   index and in one rebuilt from the rewritten ledgers.
+
 Exits non-zero (with a diagnosis on stderr) if any of that fails, so it
 can gate ``make test``.
 """
@@ -15,8 +24,11 @@ can gate ``make test``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import sqlite3
 import sys
 import tempfile
+from pathlib import Path
 
 from repro.harness import (
     BatchExecutor,
@@ -26,6 +38,7 @@ from repro.harness import (
     RunSpec,
     SweepFinished,
     TelemetryBus,
+    execute_spec,
 )
 
 #: A fast Table-I slice: two quick applications under both compilers.
@@ -35,6 +48,9 @@ SMOKE_SPECS: tuple[RunSpec, ...] = (
     RunSpec("nqueens", "gcc", "O2", threads=16),
     RunSpec("nqueens", "icc", "O2", threads=16),
 )
+
+#: Distinct digests put in the store phase: enough to touch every shard.
+STORE_PUTS = 400
 
 
 def _sweep(cache_root: str, workers: int, quiet: bool, sweep: str):
@@ -47,6 +63,39 @@ def _sweep(cache_root: str, workers: int, quiet: bool, sweep: str):
     records = harness.run(list(SMOKE_SPECS), sweep=sweep)
     finished = capture.of_type(SweepFinished)[-1]
     return records, finished
+
+
+def _store_failures() -> list[str]:
+    """Put ``STORE_PUTS`` distinct records and check the store's books."""
+    with tempfile.TemporaryDirectory(prefix="repro-sweep-smoke-store-") as root:
+        cache = ResultCache(root)
+        template = execute_spec(RunSpec("mergesort", scale=0.05))
+        specs = [RunSpec("mergesort", scale=0.05, seed=seed)
+                 for seed in range(STORE_PUTS)]
+        for spec in specs:
+            cache.put(spec, dataclasses.replace(template, spec=spec))
+
+        failures: list[str] = []
+        if any(cache.get(spec) is None for spec in specs):
+            failures.append("store missed a just-put record")
+        counts = cache.execution_counts()
+        if len(counts) != STORE_PUTS or any(n != 1 for n in counts.values()):
+            failures.append("store execution counts are not exactly-once")
+        cache.execution_counts()  # warm: must read from the index only
+        cache.info()
+        with sqlite3.connect(Path(root) / "index.sqlite") as conn:
+            offsets = dict(conn.execute(
+                "SELECT shard, offset FROM shard_offsets"))
+        sizes = {p.stem: p.stat().st_size
+                 for p in cache.ledgers_dir.glob("*.jsonl")}
+        if offsets != sizes:
+            failures.append("warm store query left unfolded ledger bytes")
+        cache.compact()
+        compacted = cache.execution_counts()
+        cache.reindex()  # re-fold the rewritten ledgers from scratch
+        if compacted != counts or cache.execution_counts() != counts:
+            failures.append("store compaction changed execution counts")
+        return failures
 
 
 def run_smoke(cache_root: str, workers: int = 2, quiet: bool = False) -> int:
@@ -68,6 +117,7 @@ def run_smoke(cache_root: str, workers: int = 2, quiet: bool = False) -> int:
         failures.append("cached records differ from freshly executed ones")
     if any(s.failed for s in (summary1, summary2)):
         failures.append("sweep reported failed runs")
+    failures += _store_failures()
 
     if failures:
         for failure in failures:
@@ -78,7 +128,9 @@ def run_smoke(cache_root: str, workers: int = 2, quiet: bool = False) -> int:
         f"({summary1.wall_s:.2f} s, workers={workers}), second pass "
         f"{summary2.cached}/{len(SMOKE_SPECS)} cached "
         f"({summary2.wall_s:.2f} s); telemetry "
-        f"{(summary1.telemetry_s + summary2.telemetry_s) * 1e3:.2f} ms"
+        f"{(summary1.telemetry_s + summary2.telemetry_s) * 1e3:.2f} ms; "
+        f"store: {STORE_PUTS} puts exactly-once, warm query folded, "
+        f"compaction count-preserving"
     )
     return 0
 

@@ -27,6 +27,7 @@ derived from a corrupt window.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Optional
 
 from repro.config import MeterConfig
@@ -93,8 +94,9 @@ class RCRDaemon:
             period_s = meter.period_s
             if meter.overhead_core is not None:
                 overhead_core = meter.overhead_core
-        if period_s <= 0:
-            raise MeasurementError(f"period must be positive, got {period_s!r}")
+        if not 0 < period_s < math.inf:
+            raise MeasurementError(
+                f"period must be finite and positive, got {period_s!r}")
         if not (0.0 <= overhead_fraction < 1.0):
             raise MeasurementError(
                 f"overhead_fraction must be in [0,1), got {overhead_fraction!r}"

@@ -18,6 +18,7 @@ violations the run recorded on its result.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, ClassVar, Optional
 
@@ -107,9 +108,9 @@ class SchedSpec(Spec):
             )
         if self.nodes < 1:
             raise ConfigError(f"nodes must be >= 1, got {self.nodes!r}")
-        if self.budget_w <= 0:
+        if not 0 < self.budget_w < math.inf:
             raise ConfigError(
-                f"budget must be positive, got {self.budget_w!r}"
+                f"budget must be finite and positive, got {self.budget_w!r}"
             )
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs!r}")
@@ -121,15 +122,16 @@ class SchedSpec(Spec):
             raise ConfigError(
                 f"node threads must be >= 1, got {self.node_threads!r}"
             )
-        if self.rate_jobs_per_s <= 0:
+        if not self.rate_jobs_per_s > 0:
             raise ConfigError(
                 f"arrival rate must be positive, got {self.rate_jobs_per_s!r}"
             )
-        if self.scale <= 0:
+        if not self.scale > 0:
             raise ConfigError(f"scale must be positive, got {self.scale!r}")
-        if self.period_s <= 0 or self.coordinator_period_s <= 0:
-            raise ConfigError("periods must be positive")
-        if self.time_limit_s <= 0:
+        if not (0 < self.period_s < math.inf
+                and 0 < self.coordinator_period_s < math.inf):
+            raise ConfigError("periods must be finite and positive")
+        if not self.time_limit_s > 0:
             raise ConfigError(
                 f"time limit must be positive, got {self.time_limit_s!r}"
             )

@@ -23,6 +23,7 @@ paper's dual-metric policy exists to avoid when the goal is energy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import MeasurementError, SimulationError
@@ -90,10 +91,9 @@ class PowerClampController:
         period_s: float = 0.1,
         min_threads: int = 1,
     ) -> None:
-        if budget_w <= 0:
-            raise SimulationError(f"power budget must be positive, got {budget_w!r}")
-        if period_s <= 0:
-            raise SimulationError(f"period must be positive, got {period_s!r}")
+        if not 0 < period_s < math.inf:
+            raise SimulationError(
+                f"period must be finite and positive, got {period_s!r}")
         self.engine = engine
         self.scheduler = scheduler
         self.blackboard = blackboard
@@ -114,8 +114,9 @@ class PowerClampController:
 
     def set_budget(self, budget_w: float) -> None:
         """Change the enforced budget (coordinator interface)."""
-        if budget_w <= 0:
-            raise SimulationError(f"power budget must be positive, got {budget_w!r}")
+        if not 0 < budget_w < math.inf:
+            raise SimulationError(
+                f"power budget must be finite and positive, got {budget_w!r}")
         self._budget_w = budget_w
         node = self.scheduler.node
         per_socket = budget_w / node.config.sockets

@@ -202,10 +202,21 @@ def test_profile_unknown_combinations():
         get_profile("bots-sparselu-for", "gcc", "O2")  # not in Table II
     with pytest.raises(CalibrationError):
         get_profile("nqueens", "maestro", "O3")  # not a throttling app
+    with pytest.raises(CalibrationError):
+        get_profile("mergesort", "maestro", "O3")  # not a throttling app
     from repro.errors import UnknownCompilerError
 
     with pytest.raises(UnknownCompilerError):
         get_profile("nqueens", "clang", "O2")
+
+
+def test_profiles_differ_between_compilers():
+    """The compiler axis is real: same source, different binary behaviour
+    (ICC's lulesh is 3.3x faster than GCC's at -O2, per Table I)."""
+    gcc = get_profile("lulesh", "gcc", "O2")
+    icc = get_profile("lulesh", "icc", "O2")
+    assert (gcc.compiler, icc.compiler) == ("gcc", "icc")
+    assert gcc.total_work_s > 2.5 * icc.total_work_s
 
 
 def test_profiles_cached():

@@ -49,6 +49,7 @@ def test_membw_sensitivity_is_real_and_ranked(quick_sweep):
 
 
 def test_fit_is_reproducible_from_the_store(quick_sweep):
+    assert quick_sweep.model.entries
     refit = PredictorModel.fit(quick_sweep.store)
     assert refit == quick_sweep.model
     assert refit.digest == quick_sweep.model.digest

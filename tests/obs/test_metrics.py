@@ -80,6 +80,21 @@ def test_labeled_series_are_independent():
     assert c.value(op="ping") == 0.0
 
 
+def test_no_increment_or_observation_is_lost_at_volume():
+    reg = MetricsRegistry()
+    plain = reg.counter("plain_total", "plain")
+    labeled = reg.counter("labeled_total", "labeled", labels=("op",))
+    hist = reg.histogram("lat_seconds", "latency")
+    n = 200_000
+    for i in range(n):
+        plain.inc()
+        labeled.inc(op="submit")
+        hist.observe(i * 1e-6)
+    assert plain.value() == n
+    assert labeled.value(op="submit") == n
+    assert reg.snapshot().instruments["lat_seconds"].series[()].count == n
+
+
 def test_label_names_must_match_declaration_exactly():
     reg = MetricsRegistry()
     c = reg.counter("frames_total", "frames", labels=("op",))

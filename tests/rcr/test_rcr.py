@@ -179,6 +179,12 @@ def test_daemon_rejects_bad_period(runtime):
         RCRDaemon(runtime.engine, runtime.node, Blackboard(), period_s=0.0)
 
 
+@pytest.mark.parametrize("period_s", [float("nan"), float("inf")])
+def test_daemon_rejects_non_finite_period(runtime, period_s):
+    with pytest.raises(MeasurementError, match="period"):
+        RCRDaemon(runtime.engine, runtime.node, Blackboard(), period_s=period_s)
+
+
 # ----------------------------------------------------------------- client
 def test_region_report_tracks_energy(runtime):
     bb, daemon = _stack(runtime)

@@ -55,6 +55,16 @@ def test_payload_carries_schema_and_apps_tuple():
         {"time_limit_s": 0.0},
         {"apps": ()},
         {"apps": ("not-an-app",)},
+        # NaN compares false against every bound, so each guard must be
+        # phrased as "not positive" rather than "<= 0".
+        {"budget_w": float("nan")},
+        {"budget_w": float("inf")},
+        {"rate_jobs_per_s": float("nan")},
+        {"scale": float("nan")},
+        {"period_s": float("nan")},
+        {"period_s": float("inf")},
+        {"coordinator_period_s": float("nan")},
+        {"time_limit_s": float("nan")},
     ],
 )
 def test_invalid_specs_rejected(kwargs):

@@ -59,6 +59,18 @@ def test_cli_bad_input_exits_2_without_traceback(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["sched", "--budget", "nan", "--quiet"],
+    ["schedsweep", "--budgets", "nan", "--quick", "--no-cache", "--quiet"],
+], ids=["sched-budget", "schedsweep-budgets"])
+def test_cli_nan_budget_exits_2_with_one_line(argv, capsys):
+    """A NaN budget is rejected by the spec, before any run or retry."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"repro-paper {argv[0]}: error: budget must be")
+
+
+@pytest.mark.parametrize("argv", [
     ["sched", "--execution", "analytic", "--jobs", "8", "--quiet"],
     ["schedsweep", "--quick", "--no-cache", "--quiet"],
 ], ids=["sched", "schedsweep"])

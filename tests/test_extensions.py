@@ -62,7 +62,8 @@ def _hot_program(chunks=800):
 
 def test_clamp_enforces_budget():
     """A 110 W budget forces a ~150 W workload to shed threads; the
-    steady-state measured power respects the bound."""
+    steady-state measured power respects the bound, the whole-run average
+    lands within 8% of it, and the bound costs time."""
     rt, bb, clamp = _clamped_runtime(110.0)
     res = rt.run(_hot_program())
     assert res.result == 800
@@ -72,6 +73,13 @@ def test_clamp_enforces_budget():
     over = [d for d in settled if d.node_power_w > 110.0 * 1.08]
     assert len(over) <= len(settled) // 5
     assert clamp.active_limit < 16  # it really did shed threads
+
+    free_rt = make_runtime(16)
+    RCRDaemon(free_rt.engine, free_rt.node, Blackboard()).start()
+    free = free_rt.run(_hot_program())
+    assert res.avg_power_w < 110.0 * 1.08
+    assert res.avg_power_w < free.avg_power_w
+    assert res.elapsed_s > free.elapsed_s
 
 
 def test_clamp_leaves_cheap_workload_alone():
@@ -96,6 +104,26 @@ def test_clamp_rejects_bad_budget():
     rt, bb, clamp = _clamped_runtime(120.0)
     with pytest.raises(SimulationError):
         clamp.set_budget(0.0)
+
+
+@pytest.mark.parametrize("budget_w", [float("nan"), float("inf")])
+def test_clamp_rejects_non_finite_budget(budget_w):
+    with pytest.raises(SimulationError, match="power budget"):
+        _clamped_runtime(budget_w)
+    rt, bb, clamp = _clamped_runtime(120.0)
+    with pytest.raises(SimulationError, match="power budget"):
+        clamp.set_budget(budget_w)
+    assert clamp.budget_w == 120.0
+
+
+@pytest.mark.parametrize("period_s", [0.0, float("nan"), float("inf")])
+def test_clamp_rejects_bad_period(period_s):
+    """Regression: a NaN period passed the ``<= 0`` guard and the clamp
+    never acted, so a 110 W budget let the node average 145 W."""
+    rt = make_runtime(16)
+    with pytest.raises(SimulationError, match="period"):
+        PowerClampController(rt.engine, rt.scheduler, Blackboard(), 110.0,
+                             period_s=period_s)
 
 
 # ---------------------------------------------------------------- tuner
@@ -153,6 +181,17 @@ def test_cluster_two_nodes_share_budget():
         assert 0.5 < row.time_s < 10.0
     assert result.peak_power_w <= 280.0 * 1.10
     assert "Cluster run" in result.format()
+
+
+def test_cluster_three_nodes_hold_the_global_budget():
+    result = run_cluster(
+        [("bots-health", "maestro"), ("bots-strassen", "maestro"),
+         ("lulesh", "maestro")],
+        global_budget_w=380.0,
+        time_limit_s=300.0,
+    )
+    assert len(result.rows) == 3
+    assert result.peak_power_w <= 380.0 * 1.10
 
 
 def test_cluster_budget_flows_to_demanding_node():

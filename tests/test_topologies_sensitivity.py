@@ -113,6 +113,15 @@ def test_sensitivity_too_high_never_engages(lulesh_sensitivity):
     )
 
 
+def test_sensitivity_dijkstra_saves_wherever_it_engages():
+    """Throttling dijkstra saves energy at every threshold that engages
+    (its contention exponent is above 1)."""
+    result = run_sensitivity("dijkstra", power_high_values=(60.0, 75.0, 90.0))
+    engaged = [p for p in result.points if p.activations > 0]
+    assert engaged, "no threshold engaged for dijkstra"
+    assert all(result.energy_savings(p) > 0.0 for p in engaged)
+
+
 def test_sensitivity_formatting(lulesh_sensitivity):
     text = lulesh_sensitivity.format()
     assert "min energy" in text
