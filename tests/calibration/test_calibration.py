@@ -202,12 +202,18 @@ def test_profile_unknown_combinations():
         get_profile("bots-sparselu-for", "gcc", "O2")  # not in Table II
     with pytest.raises(CalibrationError):
         get_profile("nqueens", "maestro", "O3")  # not a throttling app
-    with pytest.raises(CalibrationError):
-        get_profile("mergesort", "maestro", "O3")  # not a throttling app
     from repro.errors import UnknownCompilerError
 
     with pytest.raises(UnknownCompilerError):
         get_profile("nqueens", "clang", "O2")
+
+
+def test_profile_refuses_unreported_combinations():
+    """No profile exists for an (app, compiler) pair the paper never reported."""
+    with pytest.raises(CalibrationError):
+        get_profile("bots-sparselu-for", "gcc", "O2")  # not in Table II
+    with pytest.raises(CalibrationError):
+        get_profile("mergesort", "maestro", "O3")  # not a throttling app
 
 
 def test_profiles_differ_between_compilers():
