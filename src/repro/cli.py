@@ -249,7 +249,7 @@ def _cmd_metersweep(args: argparse.Namespace) -> int:
 
 def _cmd_sched(args: argparse.Namespace) -> int:
     from repro.sched import SchedSpec
-    from repro.sched.telemetry import SchedProgressSink
+    from repro.harness.telemetry import SchedProgressSink
 
     spec = SchedSpec(
         profile=args.profile,

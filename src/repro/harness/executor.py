@@ -250,23 +250,23 @@ class BatchExecutor:
         #: Optional observability hooks, duck-typed so this module never
         #: imports :mod:`repro.obs`: ``registry`` is a
         #: ``repro.obs.MetricsRegistry`` (or anything with the same
-        #: counter/histogram factories), ``tracer`` a ``SpanRecorder``.
+        #: counter/histogram factories and ``get``), ``tracer`` a
+        #: ``SpanRecorder``.
         #: ``None`` (the default) keeps the hot path bare — the
         #: instrumented-vs-bare overhead benchmark compares against it.
         self.registry = registry
         self.tracer = tracer
-        self._run_counter = None
         self._cache_lookups = None
         self._cache_puts = None
         self._rebuild_counter = None
         self._run_seconds = None
         if registry is not None:
-            self._run_counter = registry.counter(
+            runs = registry.counter(
                 "harness_runs_total",
                 "Per-spec run outcomes, by status.", labels=("status",))
             for status in ("cached", "executed", "failed", "retried",
                            "requeued"):
-                self._run_counter.inc(0.0, status=status)
+                runs.inc(0.0, status=status)
             self._cache_lookups = registry.counter(
                 "harness_cache_requests_total",
                 "Result-cache lookups before scheduling work, by outcome.",
@@ -280,10 +280,6 @@ class BatchExecutor:
             self._run_seconds = registry.histogram(
                 "harness_run_seconds",
                 "Per-spec execution wall seconds (cache hits excluded).")
-
-    def _obs_count(self, status: str) -> None:
-        if self._run_counter is not None:
-            self._run_counter.inc(status=status)
 
     # ------------------------------------------------------------------
     def run(
@@ -305,15 +301,17 @@ class BatchExecutor:
         bus = self.bus
         t_start = time.perf_counter()
         tel_before = bus.overhead_s
+        events_before = bus.events_emitted
         total = len(specs)
         records: list[Optional[MeasurementRecord]] = [None] * total
-        self._counts = {"cached": 0, "executed": 0, "failed": 0, "retried": 0}
+        # A fresh emitter per sweep: its tally is this sweep's outcomes.
+        self._emit = emit = tel.Emitter(bus, self.registry)
         self._errors: dict[int, BaseException] = {}
         self._entry = _validated_entry if self.validate else _plain_entry
         self._cancel = cancel
         self.validation_reports = {}
 
-        bus.emit(tel.SweepStarted(
+        emit(tel.SweepStarted(
             sweep=sweep, total=total, workers=self.workers,
             cache=self.cache is not None,
         ))
@@ -326,14 +324,12 @@ class BatchExecutor:
         pending: list[int] = []
         for i, spec in enumerate(specs):
             cached = self.cache.get(spec) if self.cache is not None else None
-            if self.cache is not None and self._run_counter is not None:
+            if self.cache is not None and self.registry is not None:
                 self._cache_lookups.inc(
                     result="hit" if cached is not None else "miss")
             if cached is not None:
                 records[i] = cached
-                self._counts["cached"] += 1
-                self._obs_count("cached")
-                bus.emit(tel.RunCached(
+                emit(tel.RunCached(
                     sweep=sweep, index=i, total=total, label=spec.describe(),
                     time_s=cached.time_s, energy_j=cached.energy_j,
                     watts=cached.watts,
@@ -349,20 +345,20 @@ class BatchExecutor:
                 self._run_serial(sweep, specs, pending, records)
 
         wall_s = time.perf_counter() - t_start
+        tally = emit.tally
         if self._sweep_span is not None:
             self.tracer.finish(
-                self._sweep_span, executed=self._counts["executed"],
-                cached=self._counts["cached"],
-                failed=self._counts["failed"])
-        bus.emit(tel.SweepFinished(
+                self._sweep_span, executed=tally[tel.RunFinished],
+                cached=tally[tel.RunCached], failed=tally[tel.RunFailed])
+        emit(tel.SweepFinished(
             sweep=sweep, total=total,
-            executed=self._counts["executed"],
-            cached=self._counts["cached"],
-            failed=self._counts["failed"],
-            retried=self._counts["retried"],
+            executed=tally[tel.RunFinished],
+            cached=tally[tel.RunCached],
+            failed=tally[tel.RunFailed],
+            retried=tally[tel.RunRetried],
             wall_s=wall_s,
             telemetry_s=bus.overhead_s - tel_before,
-            events=bus.events_emitted,
+            events=bus.events_emitted - events_before,
         ))
         unrun = [i for i in range(total)
                  if records[i] is None and i not in self._errors]
@@ -381,16 +377,15 @@ class BatchExecutor:
 
     # ------------------------------------------------------------------
     def _progress(self, sweep: str, records: list) -> None:
-        done = sum(1 for r in records if r is not None) + self._counts["failed"]
-        self.bus.emit(tel.SweepProgress(sweep=sweep, done=done,
-                                        total=len(records)))
+        done = (sum(1 for r in records if r is not None)
+                + self._emit.tally[tel.RunFailed])
+        self._emit(tel.SweepProgress(sweep=sweep, done=done,
+                                     total=len(records)))
 
     def _finish(self, sweep: str, specs, i: int, record: MeasurementRecord,
                 records: list, report=None) -> None:
         records[i] = record
-        self._counts["executed"] += 1
-        self._obs_count("executed")
-        if self._run_counter is not None:
+        if self.registry is not None:
             self._run_seconds.observe(record.wall_s)
         if self.tracer is not None:
             # The run happened inside a worker; reconstruct its span on
@@ -403,9 +398,9 @@ class BatchExecutor:
             self.tracer.finish(span, at=end)
         if self.cache is not None:
             self.cache.put(specs[i], record)
-            if self._run_counter is not None:
+            if self.registry is not None:
                 self._cache_puts.inc()
-        self.bus.emit(tel.RunFinished(
+        self._emit(tel.RunFinished(
             sweep=sweep, index=i, total=len(specs),
             label=specs[i].describe(), time_s=record.time_s,
             energy_j=record.energy_j, watts=record.watts,
@@ -413,7 +408,7 @@ class BatchExecutor:
         ))
         if report is not None:
             self.validation_reports[i] = report
-            self.bus.emit(tel.RunValidated(
+            self._emit(tel.RunValidated(
                 sweep=sweep, index=i, total=len(specs),
                 label=specs[i].describe(), batteries=report.batteries,
                 checks=sum(report.checks.values()),
@@ -421,7 +416,7 @@ class BatchExecutor:
                 unexpected=len(report.unexpected),
             ))
             for violation in report.violations[: self.max_violation_events]:
-                self.bus.emit(tel.InvariantViolated(
+                self._emit(tel.InvariantViolated(
                     sweep=sweep, index=i, label=specs[i].describe(),
                     invariant=violation.invariant,
                     category=violation.category,
@@ -432,10 +427,8 @@ class BatchExecutor:
 
     def _fail(self, sweep: str, specs, i: int, attempts: int,
               error: BaseException, records: list) -> None:
-        self._counts["failed"] += 1
-        self._obs_count("failed")
         self._errors[i] = error
-        self.bus.emit(tel.RunFailed(
+        self._emit(tel.RunFailed(
             sweep=sweep, index=i, total=len(specs),
             label=specs[i].describe(), attempts=attempts, error=repr(error),
         ))
@@ -451,7 +444,7 @@ class BatchExecutor:
         for i in pending:
             if self._cancelled():
                 return
-            self.bus.emit(tel.RunStarted(
+            self._emit(tel.RunStarted(
                 sweep=sweep, index=i, total=total, label=specs[i].describe(),
             ))
             attempts = 0
@@ -461,9 +454,7 @@ class BatchExecutor:
                     record, report = self._entry(specs[i])
                 except Exception as exc:
                     if attempts <= self.retries:
-                        self._counts["retried"] += 1
-                        self._obs_count("retried")
-                        self.bus.emit(tel.RunRetried(
+                        self._emit(tel.RunRetried(
                             sweep=sweep, index=i, total=total,
                             label=specs[i].describe(), attempt=attempts,
                             error=repr(exc),
@@ -486,7 +477,7 @@ class BatchExecutor:
             try:
                 pool = _make_pool(min(self.workers, len(queue)))
             except (OSError, ValueError) as exc:
-                self.bus.emit(tel.Note(
+                self._emit(tel.Note(
                     f"process pool unavailable ({exc!r}); running serially"))
                 self._run_serial(sweep, specs, queue, records)
                 return
@@ -498,7 +489,7 @@ class BatchExecutor:
                     if i not in started:
                         started.add(i)
                         attempts[i] = 1
-                        self.bus.emit(tel.RunStarted(
+                        self._emit(tel.RunStarted(
                             sweep=sweep, index=i, total=total,
                             label=specs[i].describe(),
                         ))
@@ -521,9 +512,7 @@ class BatchExecutor:
                             continue
                         except Exception as exc:
                             if attempts[i] <= self.retries:
-                                self._counts["retried"] += 1
-                                self._obs_count("retried")
-                                self.bus.emit(tel.RunRetried(
+                                self._emit(tel.RunRetried(
                                     sweep=sweep, index=i, total=total,
                                     label=specs[i].describe(),
                                     attempt=attempts[i], error=repr(exc),
@@ -563,8 +552,7 @@ class BatchExecutor:
                     )
                 else:
                     queue.append(i)
-                    self._obs_count("requeued")
-                    self.bus.emit(tel.RunRequeued(
+                    self._emit(tel.RunRequeued(
                         sweep=sweep, index=i, total=total,
                         label=specs[i].describe(),
                         redelivery=redeliveries[i],
@@ -575,12 +563,12 @@ class BatchExecutor:
             if self._rebuild_counter is not None:
                 self._rebuild_counter.inc()
             if rebuilds > self.max_pool_rebuilds:
-                self.bus.emit(tel.Note(
+                self._emit(tel.Note(
                     f"process pool broke {rebuilds} times; finishing "
                     f"{len(queue)} runs serially in-process"))
                 self._run_serial(sweep, specs, queue, records)
                 return
-            self.bus.emit(tel.Note(
+            self._emit(tel.Note(
                 f"process pool broke; rebuilding (attempt {rebuilds}/"
                 f"{self.max_pool_rebuilds}) and requeueing "
                 f"{len(queue)} lost runs"))

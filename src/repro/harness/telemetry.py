@@ -1,17 +1,28 @@
-"""Structured telemetry for the experiment harness.
+"""The lifecycle events of every layer, the bus that carries them, and
+the counters derived from them.
 
-Every sweep narrates itself through typed events on a
-:class:`TelemetryBus` instead of ad-hoc ``print()`` calls: run
-started/finished/cached/failed/retried, sweep progress, and an
-end-of-sweep summary.  Sinks subscribe to the bus; three ship here:
+This is the one module that defines lifecycle events: the harness's
+sweep and run events, the experiment service's job events and the
+scheduler's per-job events.  Each class name is its ``"event"`` name on
+the wire (``--events`` JSONL lines, service stream frames), so every
+name is unique and says which layer emitted it.
 
-* :class:`ProgressSink` — human-readable progress lines (stderr by
+A component emits through an :class:`Emitter`, which puts the event on
+the :class:`TelemetryBus` and, when the component was given a metrics
+registry, folds it into the lifecycle counters through :data:`FOLD`.
+Those counters are derived from events here and nowhere else.
+
+Sinks subscribe to the bus:
+
+* :class:`ProgressSink` — human-readable sweep progress (stderr by
   default, so piping table output keeps working);
+* :class:`SchedProgressSink` — per-job narration for ``repro-paper
+  sched``;
 * :class:`JsonlSink` — one JSON object per event, appended to a file;
 * :class:`ListSink` — in-memory capture for tests and smoke checks.
 
 The bus measures its own cost: every :meth:`TelemetryBus.emit` is timed
-and the cumulative overhead is reported in :class:`SweepFinished`
+and the sweep's share is reported in :class:`SweepFinished`
 (``telemetry_s``), so the claim that structured telemetry is near-free
 is a measured number, not an assertion — the same discipline the
 RAPL-overhead literature demands of the measurement layer itself.
@@ -23,13 +34,14 @@ import dataclasses
 import json
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Optional, Protocol, Union
+from typing import IO, Any, Callable, Iterable, Optional, Protocol, Union
 
 
 # ----------------------------------------------------------------------
-# Event types
+# Harness events
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class SweepStarted:
@@ -141,6 +153,7 @@ class SweepFinished:
     #: Cumulative wall time spent inside ``TelemetryBus.emit`` during the
     #: sweep — the measured cost of the telemetry layer itself.
     telemetry_s: float
+    #: Events emitted on the bus during the sweep, this summary excluded.
     events: int
 
 
@@ -181,20 +194,304 @@ class Note:
     message: str
 
 
-Event = Union[
-    SweepStarted, RunStarted, RunFinished, RunCached, RunRetried,
-    RunRequeued, RunFailed, SweepProgress, SweepFinished, RunValidated,
-    InvariantViolated, Note,
-]
+# ----------------------------------------------------------------------
+# Service events
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class ServiceStarted:
+    """The listener is bound and accepting submissions."""
+
+    host: str
+    port: int
+    workers: int
+    queue_depth: int
+    cache: bool
+    journal: bool
 
 
-class TelemetrySink(Protocol):
-    def handle(self, event: Event) -> None: ...
+@dataclass(frozen=True)
+class ServiceRecovered:
+    """Restart recovery: journaled non-terminal jobs were re-admitted.
+
+    Every re-tracked job was either completed from the cache or
+    requeued, so ``requeued + cache_hits`` is the recovered count.
+    """
+
+    jobs: int
+    requeued: int
+    cache_hits: int
+
+
+@dataclass(frozen=True)
+class ServiceDraining:
+    """Shutdown begun: admissions rejected, in-flight work finishing."""
+
+    queued: int
+    in_flight: int
+
+
+@dataclass(frozen=True)
+class ServiceStopped:
+    """End-of-life summary counters."""
+
+    accepted: int
+    executed: int
+    cache_hits: int
+    attached: int
+    shed: int
+    failed: int
+    dead: int
+    cancelled: int
+    uptime_s: float
+
+
+@dataclass(frozen=True)
+class JobAccepted:
+    """A submission passed admission control and was queued."""
+
+    job: str
+    digest: str
+    kind: str
+    client: str
+    queue_depth: int
+
+
+@dataclass(frozen=True)
+class JobAttached:
+    """A duplicate digest attached to the existing job instead of re-running."""
+
+    job: str
+    digest: str
+    client: str
+    state: str
+
+
+@dataclass(frozen=True)
+class JobCacheHit:
+    """A submission was answered directly from the result cache."""
+
+    job: str
+    digest: str
+    client: str
+
+
+@dataclass(frozen=True)
+class JobShed:
+    """Admission control rejected a submission (explicit backpressure)."""
+
+    client: str
+    reason: str  # queue-full | quota | draining
+    retry_after_s: float
+
+
+@dataclass(frozen=True)
+class JobStarted:
+    """A worker process began executing the job."""
+
+    job: str
+    digest: str
+    attempt: int
+    pid: int
+
+
+@dataclass(frozen=True)
+class JobRetried:
+    """A failed/timed-out attempt scheduled a backoff retry."""
+
+    job: str
+    digest: str
+    attempt: int
+    delay_s: float
+    error: str
+    reason: str  # timeout | error
+
+
+@dataclass(frozen=True)
+class JobRequeued:
+    """A crashed worker put the job back on the queue (redelivery)."""
+
+    job: str
+    digest: str
+    redelivery: int
+    error: str
+
+
+@dataclass(frozen=True)
+class WorkerCrashDetected:
+    """A worker process died without reporting a result."""
+
+    job: str
+    digest: str
+    pid: int
+
+
+@dataclass(frozen=True)
+class JobFinished:
+    """The job reached DONE with a measured record."""
+
+    job: str
+    digest: str
+    time_s: float
+    energy_j: float
+    watts: float
+    wall_s: float
+
+
+@dataclass(frozen=True)
+class JobFailed:
+    """The job exhausted its retry budget on a spec-level error."""
+
+    job: str
+    digest: str
+    attempts: int
+    error: str
+
+
+@dataclass(frozen=True)
+class JobDead:
+    """Terminal dead-letter: timeout budget or redelivery budget exhausted."""
+
+    job: str
+    digest: str
+    reason: str  # timeout | poison
+    attempts: int
+    redeliveries: int
+
+
+@dataclass(frozen=True)
+class JobCancelled:
+    """The job was cancelled before reaching a worker."""
+
+    job: str
+    digest: str
+
+
+@dataclass(frozen=True)
+class QueueDepthChanged:
+    """Queue/in-flight gauge, emitted on every transition."""
+
+    depth: int
+    in_flight: int
+
+
+# ----------------------------------------------------------------------
+# Scheduler events (``time_s`` is the simulated clock)
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class JobSubmitted:
+    """A trace job arrived at the cluster."""
+
+    index: int
+    app: str
+    threads: int
+    time_s: float
+
+
+@dataclass(frozen=True)
+class JobRejected:
+    """Admission control shed an arriving job (queue full)."""
+
+    index: int
+    app: str
+    queue_depth: int
+    time_s: float
+
+
+@dataclass(frozen=True)
+class JobPlaced:
+    """The placement policy dispatched a queued job onto a node."""
+
+    index: int
+    app: str
+    node: str
+    policy: str
+    wait_s: float
+    time_s: float
+
+
+@dataclass(frozen=True)
+class SchedJobFinished:
+    """A placed job completed; measured figures are for its region."""
+
+    index: int
+    app: str
+    node: str
+    service_s: float
+    energy_j: float
+    watts: float
+    time_s: float
+
+
+@dataclass(frozen=True)
+class SchedFinished:
+    """End-of-run scheduler summary."""
+
+    policy: str
+    profile: str
+    submitted: int
+    completed: int
+    rejected: int
+    makespan_s: float
+    peak_power_w: float
+    budget_w: float
+
+
+#: Any of the event dataclasses above.
+Event = Any
+
+
+# ----------------------------------------------------------------------
+# The fold table: lifecycle counters derived from events
+# ----------------------------------------------------------------------
+_RUNS, _SERVICE = "harness_runs_total", "service_events_total"
+
+#: ``JobShed.reason`` -> its ``service_events_total`` key.
+SHED_KEYS = {"queue-full": "shed_queue", "quota": "shed_quota",
+             "draining": "shed_draining"}
+
+
+def _always(*labels: str) -> Callable[[Event], list[tuple[str, ...]]]:
+    return lambda event: [labels]
+
+
+def _timeout_too(key: str) -> Callable[[Event], list[tuple[str, ...]]]:
+    return lambda e: [(key,)] + [("timeouts",)] * (e.reason == "timeout")
+
+
+#: Each counted event type -> (counter, rule).  The rule lists the label
+#: values of every +1 one event makes.  The emitting component declares
+#: the counter; event types not listed here are not counted.
+FOLD: dict[type, tuple[str, Callable[[Any], list[tuple[str, ...]]]]] = {
+    RunCached: (_RUNS, _always("cached")),
+    RunFinished: (_RUNS, _always("executed")),
+    RunFailed: (_RUNS, _always("failed")),
+    RunRetried: (_RUNS, _always("retried")),
+    RunRequeued: (_RUNS, _always("requeued")),
+    JobAccepted: (_SERVICE, _always("accepted")),
+    JobAttached: (_SERVICE, _always("attached")),
+    JobCacheHit: (_SERVICE, _always("cache_hits")),
+    JobFinished: (_SERVICE, _always("executed")),
+    JobShed: (_SERVICE, lambda e: [(SHED_KEYS[e.reason],)]),
+    JobRetried: (_SERVICE, _timeout_too("retries")),
+    WorkerCrashDetected: (_SERVICE, _always("crashes")),
+    JobRequeued: (_SERVICE, _always("requeues")),
+    JobFailed: (_SERVICE, _always("failed")),
+    JobDead: (_SERVICE, _timeout_too("dead")),
+    JobCancelled: (_SERVICE, _always("cancelled")),
+    ServiceRecovered: (_SERVICE, lambda e: (
+        [("recovered",)] * (e.requeued + e.cache_hits))),
+    JobPlaced: ("sched_jobs_dispatched_total", lambda e: [(e.policy,)]),
+    JobRejected: ("sched_jobs_shed_total", _always()),
+}
 
 
 # ----------------------------------------------------------------------
 # The bus
 # ----------------------------------------------------------------------
+class TelemetrySink(Protocol):
+    def handle(self, event: Event) -> None: ...
+
+
 class TelemetryBus:
     """Dispatches typed events to subscribed sinks, timing itself.
 
@@ -229,6 +526,34 @@ class TelemetryBus:
         for sink in self._sinks:
             sink.handle(event)
         self.overhead_s += time.perf_counter() - t0
+
+
+class Emitter:
+    """One component's way onto the bus: emit, fold and tally.
+
+    Every event goes to ``bus`` and is counted by type in :attr:`tally`.
+    With a ``registry`` (a duck-typed ``repro.obs.MetricsRegistry`` in
+    which the component declared its counters), a counted event also
+    bumps its counter through :data:`FOLD`.  Folding
+    where the event is emitted, not in a bus sink, keeps counts exact
+    when several components share one bus or when a bus has no registry
+    behind it.
+    """
+
+    def __init__(self, bus: TelemetryBus, registry: Any = None) -> None:
+        self.bus = bus
+        self.registry = registry
+        self.tally: Counter[type] = Counter()
+
+    def __call__(self, event: Event) -> None:
+        self.tally[type(event)] += 1
+        rule = FOLD.get(type(event)) if self.registry is not None else None
+        if rule is not None:
+            name, increments = rule
+            counter = self.registry.get(name)
+            for values in increments(event):
+                counter.inc(**dict(zip(counter.label_names, values)))
+        self.bus.emit(event)
 
 
 # ----------------------------------------------------------------------
@@ -324,7 +649,49 @@ class ProgressSink:
         elif isinstance(event, Note):
             self._line(event.message)
         # SweepProgress / RunStarted are intentionally silent here: the
-        # per-run completion lines already carry index/total.
+        # per-run completion lines already carry index/total.  So are the
+        # other layers' events: ``repro-paper validate`` sends scheduler
+        # events through this sink.
+
+
+class SchedProgressSink(ProgressSink):
+    """Per-job scheduler narration (stderr by default).
+
+    Harness events fall through silently, as :class:`ProgressSink` does
+    for scheduler events.
+    """
+
+    def handle(self, event: Event) -> None:
+        if isinstance(event, JobSubmitted):
+            self._line(
+                f"t={event.time_s:7.2f}s  submit j{event.index:<3} "
+                f"{event.app} (t{event.threads})"
+            )
+        elif isinstance(event, JobRejected):
+            self._line(
+                f"t={event.time_s:7.2f}s  REJECT j{event.index:<3} "
+                f"{event.app} (queue full at {event.queue_depth})"
+            )
+        elif isinstance(event, JobPlaced):
+            self._line(
+                f"t={event.time_s:7.2f}s  place  j{event.index:<3} "
+                f"{event.app} -> {event.node} "
+                f"[{event.policy}] after {event.wait_s:.2f}s queued"
+            )
+        elif isinstance(event, SchedJobFinished):
+            self._line(
+                f"t={event.time_s:7.2f}s  done   j{event.index:<3} "
+                f"{event.app} on {event.node}: {event.service_s:.2f} s, "
+                f"{event.energy_j:.1f} J, {event.watts:.1f} W"
+            )
+        elif isinstance(event, SchedFinished):
+            self._line(
+                f"sched [{event.policy}/{event.profile}]: "
+                f"{event.completed}/{event.submitted} jobs "
+                f"({event.rejected} rejected), makespan "
+                f"{event.makespan_s:.1f} s, peak {event.peak_power_w:.1f} W "
+                f"of {event.budget_w:.1f} W budget"
+            )
 
 
 class JsonlSink:

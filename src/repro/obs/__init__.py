@@ -16,10 +16,17 @@ The operational layer the rest of the stack reports into:
   parsing inverse;
 * :mod:`~repro.obs.report` — the ``repro obs report`` renderer.
 
-Instrumented modules (service, harness executor, cluster sim) take the
+Instrumented modules (harness executor, cluster sim) take the
 registry/recorder as *optional duck-typed parameters* — they never
 import this package, observability off is the default, and enabling it
 cannot perturb simulated physics (golden digests stay bit-identical).
+
+Lifecycle counters (``harness_runs_total``, ``service_events_total``,
+``sched_jobs_dispatched_total``, ``sched_jobs_shed_total``) are not
+counted by the components: they are folded into the registry from the
+lifecycle events by :data:`repro.harness.telemetry.FOLD`.  Everything
+else (wall-time histograms, cache and pool counters, gauges) is a
+direct instrument call.
 """
 
 from repro.obs.export import (

@@ -30,9 +30,11 @@ coordinator.PowerCoordinator` re-dividing the budget, hardened teardown,
   that make million-job sweeps tractable and auditable;
 * :mod:`~repro.sched.spec` / :mod:`~repro.sched.result` — digestable
   specs and picklable SLO results that ride the harness cache and
-  process-pool fan-out unchanged;
-* :mod:`~repro.sched.telemetry` — typed per-job events on the
-  existing telemetry bus.
+  process-pool fan-out unchanged.
+
+The scheduler's per-job events (``JobSubmitted``, ``JobRejected``,
+``JobPlaced``, ``SchedJobFinished``, ``SchedFinished``) are defined with
+every other lifecycle event in :mod:`repro.harness.telemetry`.
 """
 
 from repro.sched.aggregate import SchedAccumulator, SchedStats

@@ -38,9 +38,9 @@ import time
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import SimulationError
+from repro.harness import telemetry as tel
 from repro.harness.telemetry import TelemetryBus
 from repro.rcr import RegionReport
-from repro.sched import telemetry as stel
 from repro.sched.aggregate import SchedAccumulator
 from repro.sched.policy import (
     ClusterState,
@@ -100,7 +100,7 @@ def emit_finished(
     bus: TelemetryBus, spec: "SchedSpec", result: SchedResult
 ) -> None:
     """Emit the run-complete telemetry event (one per logical run)."""
-    bus.emit(stel.SchedFinished(
+    bus.emit(tel.SchedFinished(
         policy=spec.policy, profile=spec.profile,
         submitted=result.submitted, completed=result.completed,
         rejected=result.rejected_count, makespan_s=result.makespan_s,
@@ -134,15 +134,16 @@ class ClusterSim:
         #: Chrome trace of a campaign shows the simulated timeline and
         #: enabling tracing cannot perturb the physics.
         self.tracer = tracer
-        self._m_dispatched = self._m_shed = self._m_select = None
-        self._m_clamp = None
+        self._emit = tel.Emitter(self.bus, registry)
+        self._m_select = self._m_clamp = None
         if registry is not None:
-            self._m_dispatched = registry.counter(
+            registry.counter(
                 "sched_jobs_dispatched_total",
-                "Jobs placed onto nodes, by policy.", labels=("policy",))
-            self._m_shed = registry.counter(
+                "Jobs placed onto nodes, by policy.", labels=("policy",),
+            ).inc(0.0, policy=spec.policy)
+            registry.counter(
                 "sched_jobs_shed_total",
-                "Arrivals rejected by the full admission queue.")
+                "Arrivals rejected by the full admission queue.").inc(0.0)
             self._m_select = registry.histogram(
                 "sched_policy_select_seconds",
                 "Wall seconds per placement-policy select() call.",
@@ -151,8 +152,6 @@ class ClusterSim:
                 "sched_clamp_rounds_total",
                 "Coordinator rounds with at least one node clamped "
                 "below its full thread count.")
-            self._m_dispatched.inc(0.0, policy=spec.policy)
-            self._m_shed.inc(0.0)
             self._m_clamp.inc(0.0)
         self._job_spans: dict[str, object] = {}
         self.engine = engine if engine is not None else Engine()
@@ -298,15 +297,13 @@ class ClusterSim:
         def fire() -> None:
             self._arrived += 1
             self._prime_arrivals()
-            self.bus.emit(stel.JobSubmitted(
+            self._emit(tel.JobSubmitted(
                 index=job.index, app=job.app, threads=job.threads,
                 time_s=self.engine.now,
             ))
             if not self.queue.offer(job):
                 self.accumulator.add_rejection(job.index)
-                if self._m_shed is not None:
-                    self._m_shed.inc()
-                self.bus.emit(stel.JobRejected(
+                self._emit(tel.JobRejected(
                     index=job.index, app=job.app,
                     queue_depth=self.queue.depth, time_s=self.engine.now,
                 ))
@@ -339,7 +336,7 @@ class ClusterSim:
         self.accumulator.add_job(record)
         if self.spec.retain_jobs:
             self.records.append(record)
-        self.bus.emit(stel.JobFinished(
+        self._emit(tel.SchedJobFinished(
             index=record.index, app=record.app, node=node.name,
             service_s=record.time_s, energy_j=record.energy_j,
             watts=record.avg_watts, time_s=self.engine.now,
@@ -401,15 +398,13 @@ class ClusterSim:
                 )
             job = self.queue.take(position)
             node.start_job(job)
-            if self._m_dispatched is not None:
-                self._m_dispatched.inc(policy=self.spec.policy)
             if self.tracer is not None:
                 self._job_spans[node.name] = self.tracer.start(
                     f"{job.app}:j{job.index}", at=self.engine.now,
                     track=node.name, threads=job.threads,
                     policy=self.spec.policy,
                     wait_s=self.engine.now - job.submit_s)
-            self.bus.emit(stel.JobPlaced(
+            self._emit(tel.JobPlaced(
                 index=job.index, app=job.app, node=node.name,
                 policy=self.spec.policy,
                 wait_s=self.engine.now - job.submit_s,

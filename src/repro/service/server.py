@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.errors import AdmissionError, ProtocolError, ServiceError
+from repro.harness import telemetry as tel
 from repro.harness.cache import ResultCache
 from repro.harness.telemetry import TelemetryBus
 from repro.obs import (
@@ -46,7 +47,6 @@ from repro.obs import (
     SpanRecorder,
     to_prometheus,
 )
-from repro.service import telemetry as stel
 from repro.service.jobs import Job, JobState, result_summary
 from repro.service.journal import Journal
 from repro.service.protocol import (
@@ -105,7 +105,10 @@ class ServiceConfig:
 #: Lifecycle/admission event names (label values of
 #: ``service_events_total`` and keys of the back-compat ``counters``
 #: mapping).  Declared up front so every series exists — and exports as
-#: an explicit zero — before the first event fires.
+#: an explicit zero — before the first event fires.  Every key but
+#: ``stream_dropped`` is folded from an event by
+#: :data:`repro.harness.telemetry.FOLD`; a dropped stream frame cannot
+#: be an event, since it happens inside the stream fan-out.
 EVENT_KEYS = (
     "accepted", "attached", "cache_hits", "executed",
     "shed_queue", "shed_quota", "shed_draining",
@@ -139,6 +142,7 @@ class ExperimentService:
         self.config = config
         self.bus = bus if bus is not None else TelemetryBus()
         self.registry = registry if registry is not None else MetricsRegistry()
+        self._emit = tel.Emitter(self.bus, self.registry)
         self.tracer = SpanRecorder(max_spans=4096)
         self.cache = (ResultCache(root=config.cache_root)
                       if config.cache_root else None)
@@ -171,7 +175,7 @@ class ExperimentService:
         # Instruments: the registry is the single source of truth for
         # operational state; the legacy ``counters`` mapping (and the
         # ``stats`` frame built on it) is a read-only view of
-        # ``service_events_total``.
+        # ``service_events_total``, which ``_emit`` folds from events.
         reg = self.registry
         self._events = reg.counter(
             "service_events_total",
@@ -235,9 +239,6 @@ class ExperimentService:
         return {key: int(self._events.value(event=key))
                 for key in EVENT_KEYS}
 
-    def _count(self, event: str) -> None:
-        self._events.inc(event=event)
-
     async def start(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._started_at = time.time()
@@ -263,7 +264,7 @@ class ExperimentService:
         if plan is not None and plan.pending:
             recovered = self._recover(plan)
         self._journal_meta("service-start", recovered=recovered)
-        self.bus.emit(stel.ServiceStarted(
+        self._emit(tel.ServiceStarted(
             host=self.config.host, port=self.port,
             workers=self.config.workers,
             queue_depth=self.config.queue_depth,
@@ -293,7 +294,6 @@ class ExperimentService:
             job = Job(id=entry["job"], spec=spec, client=entry["client"],
                       subscribers=list(entry["clients"]))
             self._track(job)
-            self._count("recovered")
             self._journal("recovered", job=job)
             if self._complete_from_cache(job):
                 cache_hits += 1
@@ -305,7 +305,7 @@ class ExperimentService:
             requeued += 1
         if requeued:
             self._wake.set()
-        self.bus.emit(stel.ServiceRecovered(
+        self._emit(tel.ServiceRecovered(
             jobs=len(plan.pending), requeued=requeued,
             cache_hits=cache_hits))
         self._gauge()
@@ -319,7 +319,7 @@ class ExperimentService:
         if self._draining:
             return
         self._draining = True
-        self.bus.emit(stel.ServiceDraining(
+        self._emit(tel.ServiceDraining(
             queued=len(self.queue), in_flight=self._busy))
         if self._server is not None:
             self._server.close()
@@ -340,7 +340,7 @@ class ExperimentService:
             with contextlib.suppress(Exception):
                 await self._metrics_server.wait_closed()
         self._journal_meta("service-stop")
-        self.bus.emit(stel.ServiceStopped(
+        self._emit(tel.ServiceStopped(
             accepted=self.counters["accepted"],
             executed=self.counters["executed"],
             cache_hits=self.counters["cache_hits"],
@@ -387,7 +387,7 @@ class ExperimentService:
     def _gauge(self) -> None:
         self._queue_depth_gauge.set(float(len(self.queue)))
         self._in_flight_gauge.set(float(self._busy))
-        self.bus.emit(stel.QueueDepthChanged(
+        self._emit(tel.QueueDepthChanged(
             depth=len(self.queue), in_flight=self._busy))
 
     def _next_id(self) -> str:
@@ -417,8 +417,7 @@ class ExperimentService:
         job.result = result_summary(record)
         self._journal("finished", job=job, source="cache")
         self._finalize(job, JobState.DONE)
-        self._count("cache_hits")
-        self.bus.emit(stel.JobCacheHit(
+        self._emit(tel.JobCacheHit(
             job=job.id, digest=job.digest, client=job.client))
         return True
 
@@ -429,9 +428,8 @@ class ExperimentService:
         spec = spec_from_wire(frame["spec"])
         client = frame.get("client") or peer
         if self._draining:
-            self._count("shed_draining")
-            self.bus.emit(stel.JobShed(client=client, reason="draining",
-                                       retry_after_s=0.0))
+            self._emit(tel.JobShed(client=client, reason="draining",
+                                   retry_after_s=0.0))
             return error_response("submit", "service is draining",
                                   reason="draining")
         # Dedup: an active (queued/running) or successfully-completed job
@@ -445,9 +443,8 @@ class ExperimentService:
                 known = remembered
         if known is not None:
             known.subscribers.append(client)
-            self._count("attached")
             self._journal("attached", job=known, client=client)
-            self.bus.emit(stel.JobAttached(
+            self._emit(tel.JobAttached(
                 job=known.id, digest=known.digest, client=client,
                 state=known.state.value))
             response = {"ok": True, "op": "submit", "attached": True,
@@ -465,24 +462,21 @@ class ExperimentService:
         wait_s = self.quotas.admit(client)
         if wait_s > 0.0:
             self._forget(job)
-            self._count("shed_quota")
             self._journal("cancelled", job=job, reason="quota")
-            self.bus.emit(stel.JobShed(client=client, reason="quota",
-                                       retry_after_s=wait_s))
+            self._emit(tel.JobShed(client=client, reason="quota",
+                                   retry_after_s=wait_s))
             return error_response("submit", "client quota exhausted",
                                   reason="quota", retry_after_s=wait_s)
         try:
             self.queue.push(job)
         except AdmissionError as exc:
             self._forget(job)
-            self._count("shed_queue")
             self._journal("cancelled", job=job, reason="queue-full")
-            self.bus.emit(stel.JobShed(client=client, reason=exc.reason,
-                                       retry_after_s=exc.retry_after_s))
+            self._emit(tel.JobShed(client=client, reason=exc.reason,
+                                   retry_after_s=exc.retry_after_s))
             return error_response("submit", str(exc), reason=exc.reason,
                                   retry_after_s=exc.retry_after_s)
-        self._count("accepted")
-        self.bus.emit(stel.JobAccepted(
+        self._emit(tel.JobAccepted(
             job=job.id, digest=job.digest, kind=job.kind, client=client,
             queue_depth=len(self.queue)))
         self._gauge()
@@ -515,7 +509,7 @@ class ExperimentService:
     def _note_started(self, job: Job, pid: int) -> None:
         job.pid = pid
         self._journal("started", job=job, attempt=job.attempts, pid=pid)
-        self.bus.emit(stel.JobStarted(
+        self._emit(tel.JobStarted(
             job=job.id, digest=job.digest, attempt=job.attempts, pid=pid))
 
     async def _run_job(self, job: Job) -> None:
@@ -539,19 +533,17 @@ class ExperimentService:
                 self.tracer.finish(span, outcome=outcome.kind)
                 if job.cancel_requested:
                     job.error = "cancelled while running"
-                    self._count("cancelled")
                     self._journal("cancelled", job=job, reason="client")
-                    self.bus.emit(stel.JobCancelled(job=job.id,
-                                                    digest=job.digest))
+                    self._emit(tel.JobCancelled(job=job.id,
+                                                digest=job.digest))
                     self._finalize(job, JobState.CANCELLED)
                     return
                 if outcome.kind == "ok":
                     job.source = "executed"
                     job.result = result_summary(outcome.record)
                     job.error = None
-                    self._count("executed")
                     self._journal("finished", job=job, source="executed")
-                    self.bus.emit(stel.JobFinished(
+                    self._emit(tel.JobFinished(
                         job=job.id, digest=job.digest,
                         time_s=job.result.get("time_s", 0.0),
                         energy_j=job.result.get("energy_j", 0.0),
@@ -560,28 +552,25 @@ class ExperimentService:
                     self._finalize(job, JobState.DONE)
                     return
                 if outcome.kind == "crash":
-                    self._count("crashes")
-                    self.bus.emit(stel.WorkerCrashDetected(
+                    self._emit(tel.WorkerCrashDetected(
                         job=job.id, digest=job.digest, pid=outcome.pid))
                     job.redeliveries += 1
                     job.error = outcome.error
                     if job.redeliveries > config.max_redeliveries:
                         # Poison quarantine: this spec keeps killing its
                         # workers; stop redelivering it.
-                        self._count("dead")
                         self._journal("dead", job=job, reason="poison",
                                       error=outcome.error)
-                        self.bus.emit(stel.JobDead(
+                        self._emit(tel.JobDead(
                             job=job.id, digest=job.digest, reason="poison",
                             attempts=job.attempts,
                             redeliveries=job.redeliveries))
                         self._finalize(job, JobState.DEAD)
                         return
-                    self._count("requeues")
                     job.state = JobState.QUEUED
                     self._journal("requeued", job=job,
                                   redelivery=job.redeliveries)
-                    self.bus.emit(stel.JobRequeued(
+                    self._emit(tel.JobRequeued(
                         job=job.id, digest=job.digest,
                         redelivery=job.redeliveries, error=outcome.error))
                     self.queue.requeue(job)
@@ -592,34 +581,30 @@ class ExperimentService:
                 # retries, then a terminal state.
                 job.failures += 1
                 job.error = outcome.error
-                if outcome.kind == "timeout":
-                    self._count("timeouts")
                 if job.failures <= config.retries:
                     delay = min(
                         config.backoff_base_s * (2 ** (job.failures - 1)),
                         config.backoff_max_s)
-                    self._count("retries")
                     self._journal("retry", job=job, attempt=job.attempts,
                                   delay_s=delay, error=outcome.error)
-                    self.bus.emit(stel.JobRetried(
+                    self._emit(tel.JobRetried(
                         job=job.id, digest=job.digest, attempt=job.attempts,
-                        delay_s=delay, error=outcome.error))
+                        delay_s=delay, error=outcome.error,
+                        reason=outcome.kind))
                     await asyncio.sleep(delay)
                     continue
                 if outcome.kind == "timeout":
                     # Dead-letter: the spec never fits its deadline.
-                    self._count("dead")
                     self._journal("dead", job=job, reason="timeout",
                                   error=outcome.error)
-                    self.bus.emit(stel.JobDead(
+                    self._emit(tel.JobDead(
                         job=job.id, digest=job.digest, reason="timeout",
                         attempts=job.attempts,
                         redeliveries=job.redeliveries))
                     self._finalize(job, JobState.DEAD)
                     return
-                self._count("failed")
                 self._journal("failed", job=job, error=outcome.error)
-                self.bus.emit(stel.JobFailed(
+                self._emit(tel.JobFailed(
                     job=job.id, digest=job.digest, attempts=job.attempts,
                     error=outcome.error))
                 self._finalize(job, JobState.FAILED)
@@ -740,9 +725,8 @@ class ExperimentService:
                     **job.snapshot()}
         if self.queue.remove(job):
             job.error = "cancelled while queued"
-            self._count("cancelled")
             self._journal("cancelled", job=job, reason="client")
-            self.bus.emit(stel.JobCancelled(job=job.id, digest=job.digest))
+            self._emit(tel.JobCancelled(job=job.id, digest=job.digest))
             self._finalize(job, JobState.CANCELLED)
             self._gauge()
             return {"ok": True, "op": "cancel", "cancelled": True,
@@ -836,7 +820,7 @@ class ExperimentService:
                 # service on a client's socket.
                 with contextlib.suppress(asyncio.QueueEmpty):
                     queue.get_nowait()
-                self._count("stream_dropped")
+                self._events.inc(event="stream_dropped")
                 self._stream_drops.inc()
             queue.put_nowait(frame)
 

@@ -91,6 +91,10 @@ def test_well_scaled_apps_minimize_energy_at_16(sweeps):
         series = sweeps[app]
         assert series.min_energy_threads >= 12
         assert series.normalized_energy(16) < series.normalized_energy(1)
+    # bots-fib scales so well that both optima sit at the full 16 threads.
+    fib = sweeps["bots-fib"]
+    assert fib.min_energy_threads == 16
+    assert max(fib.thread_counts, key=fib.speedup) == 16
 
 
 def test_poor_scalers_energy_minimum_below_16(sweeps):

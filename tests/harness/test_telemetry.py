@@ -54,6 +54,12 @@ def test_sweep_finished_reports_telemetry_overhead():
     assert summary.telemetry_s < summary.wall_s
     # events was sampled just before the summary itself was emitted.
     assert summary.events == bus.events_emitted - 1
+    # A second sweep on the same bus reports its own events, not the
+    # bus's lifetime total.
+    _sweep(bus)
+    first, second = sink.of_type(tel.SweepFinished)
+    assert second.events == first.events == 7
+    assert 0 < second.telemetry_s < bus.overhead_s - first.telemetry_s
 
 
 def test_sinkless_bus_counts_but_pays_nothing():
@@ -113,29 +119,27 @@ def test_jsonl_sink_writes_parseable_events(tmp_path):
 
 # ------------------------------------------------------------ narrators
 def _sched_events():
-    from repro.sched import telemetry as stel
-
     return [
-        stel.JobSubmitted(index=3, app="bots-fib", threads=16, time_s=1.5),
-        stel.JobRejected(index=4, app="lulesh", queue_depth=2, time_s=2.0),
-        stel.JobPlaced(index=3, app="bots-fib", node="n1", policy="fifo",
-                       wait_s=0.25, time_s=1.75),
-        stel.JobFinished(index=3, app="bots-fib", node="n1", service_s=4.5,
-                         energy_j=321.25, watts=71.4, time_s=6.25),
-        stel.SchedFinished(policy="fifo", profile="bursty", submitted=5,
-                           completed=4, rejected=1, makespan_s=12.34,
-                           peak_power_w=180.06, budget_w=200.0),
+        tel.JobSubmitted(index=3, app="bots-fib", threads=16, time_s=1.5),
+        tel.JobRejected(index=4, app="lulesh", queue_depth=2, time_s=2.0),
+        tel.JobPlaced(index=3, app="bots-fib", node="n1", policy="fifo",
+                      wait_s=0.25, time_s=1.75),
+        tel.SchedJobFinished(index=3, app="bots-fib", node="n1",
+                             service_s=4.5, energy_j=321.25, watts=71.4,
+                             time_s=6.25),
+        tel.SchedFinished(policy="fifo", profile="bursty", submitted=5,
+                          completed=4, rejected=1, makespan_s=12.34,
+                          peak_power_w=180.06, budget_w=200.0),
     ]
 
 
 def test_sched_progress_sink_line_formats():
-    from repro.sched.telemetry import SchedProgressSink
-
-    out = io.StringIO()
-    sink = SchedProgressSink(out)
+    out, quiet = io.StringIO(), io.StringIO()
+    sinks = (tel.SchedProgressSink(out), ProgressSink(quiet))
     for event in _sched_events():
-        sink.handle(event)
-    sink.handle(tel.SweepStarted(sweep="x", total=1, workers=0))
+        for sink in sinks:
+            sink.handle(event)
+    sinks[0].handle(tel.SweepStarted(sweep="x", total=1, workers=0))
     assert out.getvalue().splitlines() == [
         "t=   1.50s  submit j3   bots-fib (t16)",
         "t=   2.00s  REJECT j4   lulesh (queue full at 2)",
@@ -144,25 +148,19 @@ def test_sched_progress_sink_line_formats():
         "sched [fifo/bursty]: 4/5 jobs (1 rejected), makespan 12.3 s, "
         "peak 180.1 W of 200.0 W budget",
     ]
-
-
-def test_progress_sink_is_silent_on_scheduler_events():
-    out = io.StringIO()
-    sink = ProgressSink(out)
-    for event in _sched_events():
-        sink.handle(event)
-    assert out.getvalue() == ""
+    # ``repro-paper validate`` sends scheduler events through the
+    # harness narrator, which must stay silent on them.
+    assert quiet.getvalue() == ""
 
 
 def test_service_event_printer_keeps_gauges_and_harness_events_quiet():
-    from repro.service import telemetry as svc_tel
     from repro.service.client import ServiceEventPrinter
 
     out = io.StringIO()
     printer = ServiceEventPrinter(out)
-    printer.handle(svc_tel.QueueDepthChanged(depth=1, in_flight=2))
+    printer.handle(tel.QueueDepthChanged(depth=1, in_flight=2))
     printer.handle(tel.SweepStarted(sweep="x", total=1, workers=0))
     printer.handle(tel.Note("hello"))
     assert out.getvalue() == ""
-    printer.handle(svc_tel.JobCancelled(job="j-000001", digest="abc"))
+    printer.handle(tel.JobCancelled(job="j-000001", digest="abc"))
     assert out.getvalue() == "[service] JobCancelled job=j-000001 digest=abc\n"

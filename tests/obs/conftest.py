@@ -1,79 +1,9 @@
-"""Fixtures for observability-over-the-service tests.
+"""Fixtures for observability-over-the-service tests: the service
+tests' in-thread service, clients and injected worker entries."""
 
-Mirrors ``tests/service/conftest.py``: an in-thread service with
-injected worker entries so lifecycle behaviour is fast and
-deterministic.
-"""
-
-from __future__ import annotations
-
-import os
-import time
-from types import SimpleNamespace
-
-import pytest
-
-from repro.service.client import ServiceClient
-from repro.service.server import ServiceConfig
-from repro.service.testing import ServiceThread
-
-
-# Module-level so fork()ed worker children resolve them.
-def _record(spec, wall_s: float = 0.01) -> SimpleNamespace:
-    return SimpleNamespace(spec=spec, time_s=1.0, energy_j=16.0,
-                           watts=16.0, wall_s=wall_s)
-
-
-def entry_ok(spec):
-    time.sleep(0.01)
-    return _record(spec)
-
-
-def entry_crash(spec):
-    os._exit(13)  # simulated OOM kill / hard worker crash
-
-
-@pytest.fixture
-def make_service():
-    started: list[ServiceThread] = []
-
-    def _make(entry=None, **overrides) -> ServiceThread:
-        settings = dict(
-            port=0,
-            workers=2,
-            queue_depth=8,
-            timeout_s=30.0,
-            retries=1,
-            backoff_base_s=0.01,
-            backoff_max_s=0.05,
-            max_redeliveries=2,
-            retry_after_s=0.25,
-            drain_grace_s=5.0,
-        )
-        settings.update(overrides)
-        svc = ServiceThread(ServiceConfig(**settings),
-                            worker_entry=entry).start()
-        started.append(svc)
-        return svc
-
-    yield _make
-    for svc in started:
-        svc.stop(drain=False)
-
-
-@pytest.fixture
-def make_client():
-    clients: list[ServiceClient] = []
-
-    def _make(svc: ServiceThread, name: str = "obs-test",
-              timeout: float = 60.0) -> ServiceClient:
-        client = ServiceClient(port=svc.port, name=name, timeout=timeout)
-        clients.append(client)
-        return client
-
-    yield _make
-    for client in clients:
-        try:
-            client.close()
-        except OSError:
-            pass
+from tests.service.conftest import (  # noqa: F401 - fixtures by name
+    entry_crash,
+    entry_ok,
+    make_client,
+    make_service,
+)

@@ -40,12 +40,11 @@ WIRE = sorted([
     ("JobCancelled", "job digest"),
     ("JobDead", "job digest reason attempts redeliveries"),
     ("JobFailed", "job digest attempts error"),
-    ("JobFinished", "index app node service_s energy_j watts time_s"),
     ("JobFinished", "job digest time_s energy_j watts wall_s"),
     ("JobPlaced", "index app node policy wait_s time_s"),
     ("JobRejected", "index app queue_depth time_s"),
     ("JobRequeued", "job digest redelivery error"),
-    ("JobRetried", "job digest attempt delay_s error"),
+    ("JobRetried", "job digest attempt delay_s error reason"),
     ("JobShed", "client reason retry_after_s"),
     ("JobStarted", "job digest attempt pid"),
     ("JobSubmitted", "index app threads time_s"),
@@ -61,6 +60,7 @@ WIRE = sorted([
      "sweep index total label batteries checks violations unexpected"),
     ("SchedFinished", "policy profile submitted completed rejected "
                       "makespan_s peak_power_w budget_w"),
+    ("SchedJobFinished", "index app node service_s energy_j watts time_s"),
     ("ServiceDraining", "queued in_flight"),
     ("ServiceRecovered", "jobs requeued cache_hits"),
     ("ServiceStarted", "host port workers queue_depth cache journal"),

@@ -53,7 +53,6 @@ def test_timeline_trace_runs(capsys):
 
 #: Example -> a line fragment only its successful run prints.
 MARKERS = {
-    "autotune_energy.py": "optima — time:",
     "cluster_power_budget.py": "peak coordinated cluster power",
     "custom_app.py": "Monte-Carlo pi",
     "energy_sweep.py": "minimum energy at",
@@ -71,7 +70,6 @@ def test_example_files_all_present():
     expected = {
         "quickstart.py", "energy_sweep.py", "throttling_demo.py",
         "custom_app.py", "power_measurement.py", "timeline_trace.py",
-        "energy_attribution.py", "autotune_energy.py",
-        "cluster_power_budget.py",
+        "energy_attribution.py", "cluster_power_budget.py",
     }
     assert {p.name for p in EXAMPLES.glob("*.py")} == expected

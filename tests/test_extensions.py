@@ -1,4 +1,4 @@
-"""Extensions: power clamping, the energy autotuner, the cluster coordinator."""
+"""Extensions: power clamping and the cluster coordinator."""
 
 import pytest
 
@@ -13,7 +13,6 @@ from repro.throttle.clamp import (
     decode_power_limit,
     encode_power_limit,
 )
-from repro.tuner import Objective, tune_optlevel, tune_threads
 from tests.conftest import make_runtime
 
 
@@ -124,47 +123,6 @@ def test_clamp_rejects_bad_period(period_s):
     with pytest.raises(SimulationError, match="period"):
         PowerClampController(rt.engine, rt.scheduler, Blackboard(), 110.0,
                              period_s=period_s)
-
-
-# ---------------------------------------------------------------- tuner
-def test_tune_threads_finds_energy_optimum_below_16():
-    """Dijkstra's energy optimum sits below 16 threads (Section II-C.4)."""
-    result = tune_threads("dijkstra", "gcc", threads=(1, 8, 12, 16))
-    assert result.best.threads < 16
-    assert result.best.energy_j < result.points[-1].energy_j
-
-
-def test_tune_threads_scaler_wants_all_threads():
-    result = tune_threads("bots-fib", "gcc", threads=(4, 8, 16))
-    assert result.best.threads == 16
-    time_best = result.best_for(Objective.TIME)
-    assert time_best.threads == 16
-
-
-def test_tune_threads_objectives_can_disagree():
-    """For lulesh, minimum energy and minimum time pick different counts."""
-    result = tune_threads("lulesh", "gcc", threads=(2, 4, 8, 16))
-    energy_best = result.best_for(Objective.ENERGY)
-    time_best = result.best_for(Objective.TIME)
-    assert energy_best.threads < time_best.threads
-
-
-def test_tune_optlevel_gcc_nqueens_prefers_o2():
-    """Table II: GCC nqueens O2 beats O3 on energy (649 J vs 846 J)."""
-    result = tune_optlevel("nqueens", "gcc", levels=("O0", "O2", "O3"))
-    assert result.best.optlevel == "O2"
-
-
-def test_tune_result_format_and_errors():
-    result = tune_threads("bots-sort", "gcc", threads=(16,))
-    assert "autotune" in result.format()
-    from repro.errors import ConfigError
-    from repro.tuner.autotuner import TuneResult
-
-    with pytest.raises(ConfigError):
-        TuneResult("x", "gcc", Objective.ENERGY).best
-    with pytest.raises(ConfigError):
-        tune_threads("bots-sort", threads=())
 
 
 # --------------------------------------------------------------- cluster
