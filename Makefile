@@ -4,7 +4,7 @@ PYTHON ?= python
 
 COV_FAIL_UNDER ?= 80
 
-.PHONY: install test test-cosched test-faults test-golden test-harness test-metering test-obs test-validate test-sched test-service test-store validate-smoke sched-smoke serve-smoke metersweep-smoke cosched-smoke obs-smoke coverage sweep-smoke smoke-faults bench reproduce recalibrate examples clean
+.PHONY: install test test-cosched test-faults test-golden test-harness test-metering test-obs test-validate test-sched test-service test-store validate-smoke sched-smoke serve-smoke metersweep-smoke cosched-smoke obs-smoke coverage sweep-smoke smoke-faults bench profile reproduce recalibrate examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -124,9 +124,14 @@ smoke-faults:
 	PYTHONPATH=src:$$PYTHONPATH $(PYTHON) -m repro.cli faultsweep --quick --seed 0
 
 # The benchmark declared in BENCHMARK.json: every workload end to end,
-# with per-layer self time (see perfbench/README.md).
+# untraced (perfbench/run.py defaults to --trace 0; see perfbench/README.md).
 bench:
 	$(PYTHON) perfbench/run.py
+
+# One traced paper-tables run: the same-work counts and the per-layer
+# cProfile self time (self_s.*) that hot-path changes are compared on.
+profile:
+	$(PYTHON) perfbench/run.py --workload paper-tables --seed 1 --trace 1
 
 # Regenerate EXPERIMENTS.md (runs the full evaluation, ~5-10 minutes).
 reproduce:

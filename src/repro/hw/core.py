@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 
 class CoreState(enum.Enum):
@@ -34,9 +34,27 @@ class CoreState(enum.Enum):
     SPIN = "spin"
 
 
-@dataclass(frozen=True, slots=True)
-class Segment:
+_new_tuple = tuple.__new__
+
+
+class _SegmentFields(NamedTuple):
+    solo_seconds: float
+    mem_fraction: float = 0.0
+    power_scale: float = 1.0
+    contention_exponent: float | None = None
+    coherence_penalty: float = 0.0
+    tag: str = ""
+
+
+class Segment(_SegmentFields):
     """One contiguous piece of work executed by a core.
+
+    An immutable, tuple-backed value: construction is one validated
+    ``tuple.__new__`` and fields read through C-level tuple accessors.
+    Apps, the runtime and the daemon build a segment per simulated work
+    item (hundreds of thousands per sweep), so its construction cost is
+    on the hot path.  Unpickling goes back through the validating
+    constructor, so a segment shipped to a pool worker is checked again.
 
     Attributes
     ----------
@@ -66,28 +84,36 @@ class Segment:
         Free-form label used by traces and tests.
     """
 
-    solo_seconds: float
-    mem_fraction: float = 0.0
-    power_scale: float = 1.0
-    contention_exponent: float | None = None
-    coherence_penalty: float = 0.0
-    tag: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.solo_seconds < 0:
-            raise ValueError(f"solo_seconds must be >= 0, got {self.solo_seconds!r}")
-        if not (0.0 <= self.mem_fraction <= 1.0):
-            raise ValueError(f"mem_fraction must be in [0,1], got {self.mem_fraction!r}")
-        if self.power_scale <= 0:
-            raise ValueError(f"power_scale must be positive, got {self.power_scale!r}")
-        if self.contention_exponent is not None and self.contention_exponent < 1.0:
+    def __new__(
+        cls,
+        solo_seconds: float,
+        mem_fraction: float = 0.0,
+        power_scale: float = 1.0,
+        contention_exponent: float | None = None,
+        coherence_penalty: float = 0.0,
+        tag: str = "",
+    ) -> "Segment":
+        if solo_seconds < 0:
+            raise ValueError(f"solo_seconds must be >= 0, got {solo_seconds!r}")
+        if not (0.0 <= mem_fraction <= 1.0):
+            raise ValueError(f"mem_fraction must be in [0,1], got {mem_fraction!r}")
+        if power_scale <= 0:
+            raise ValueError(f"power_scale must be positive, got {power_scale!r}")
+        if contention_exponent is not None and contention_exponent < 1.0:
             raise ValueError(
-                f"contention_exponent must be >= 1, got {self.contention_exponent!r}"
+                f"contention_exponent must be >= 1, got {contention_exponent!r}"
             )
-        if self.coherence_penalty < 0.0:
+        if coherence_penalty < 0.0:
             raise ValueError(
-                f"coherence_penalty must be >= 0, got {self.coherence_penalty!r}"
+                f"coherence_penalty must be >= 0, got {coherence_penalty!r}"
             )
+        return _new_tuple(
+            cls,
+            (solo_seconds, mem_fraction, power_scale, contention_exponent,
+             coherence_penalty, tag),
+        )
 
 
 @dataclass(slots=True)

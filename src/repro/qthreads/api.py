@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.hw.core import Segment
-from repro.units import NOMINAL_FREQUENCY_HZ
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.qthreads.feb import Feb
@@ -54,30 +53,6 @@ def Work(
         coherence_penalty=coherence_penalty,
         tag=tag,
     )
-
-
-def work_from_ops(
-    cpu_cycles: float,
-    mem_refs: float,
-    *,
-    frequency_hz: float = NOMINAL_FREQUENCY_HZ,
-    mem_latency_s: float = 80e-9,
-    mlp: float = 10.0,
-    power_scale: float = 1.0,
-    tag: str = "",
-) -> Segment:
-    """Build a segment from instruction/memory-operation counts.
-
-    Solo time is ``cpu_cycles / f + mem_refs * L0 / mlp``; the memory
-    fraction is the memory share of that time.  Useful when an application
-    reasons in operation counts rather than seconds.
-    """
-    cpu_s = cpu_cycles / frequency_hz
-    mem_s = mem_refs * mem_latency_s / mlp
-    total = cpu_s + mem_s
-    if total <= 0.0:
-        return Segment(0.0, 0.0, power_scale, tag)
-    return Segment(total, mem_s / total, power_scale, tag)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ the throttle controller drives:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, TYPE_CHECKING
 
 import numpy as np
@@ -29,15 +28,6 @@ from repro.sim.events import Priority
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hw.node import Node
-
-
-@dataclass(frozen=True)
-class OverheadModel:
-    """Per-operation runtime costs in cycles (from RuntimeConfig)."""
-
-    spawn_overhead_cycles: float
-    steal_overhead_cycles: float
-    queue_op_cycles: float
 
 
 class Scheduler:
@@ -59,11 +49,12 @@ class Scheduler:
         self.rng = rng
         self.frequency_hz = machine.frequency_hz
         self.spin_duty = runtime_config.spin_duty
-        self.overhead = OverheadModel(
-            spawn_overhead_cycles=runtime_config.spawn_overhead_cycles,
-            steal_overhead_cycles=runtime_config.steal_overhead_cycles,
-            queue_op_cycles=runtime_config.queue_op_cycles,
-        )
+        # Per-operation runtime costs, configured in cycles and charged
+        # in seconds: one division here instead of one per operation.
+        freq = self.frequency_hz
+        self.spawn_overhead_s = runtime_config.spawn_overhead_cycles / freq
+        self.steal_overhead_s = runtime_config.steal_overhead_cycles / freq
+        self.queue_op_s = runtime_config.queue_op_cycles / freq
 
         # Build shepherds: one per (socket x shepherds_per_socket), workers
         # distributed round-robin over the cores of the matching socket.
@@ -143,12 +134,20 @@ class Scheduler:
     # stealing
     # ------------------------------------------------------------------
     def steal_for(self, thief: Worker) -> Optional[Task]:
-        """Steal the oldest task from some other shepherd, random victim order."""
+        """Steal the oldest task from some other shepherd, random victim order.
+
+        A lone candidate is robbed directly: ``permutation(1)`` draws
+        nothing from the generator, so skipping it leaves the stream
+        exactly where it was.  With the default one shepherd per socket
+        on two sockets, every steal takes this path.
+        """
         if len(self.shepherds) <= 1:
             return None
         candidates = [s for s in self.shepherds if s is not thief.shepherd and len(s.queue) > 0]
         if not candidates:
             return None
+        if len(candidates) == 1:
+            return candidates[0].pop_steal()
         order = self.rng.permutation(len(candidates))
         for idx in order:
             task = candidates[int(idx)].pop_steal()

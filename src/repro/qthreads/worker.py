@@ -6,10 +6,10 @@ generator, and translates yielded operations into machine actions —
 work segments assigned to its core, child spawns, blocking on taskwait or
 FEBs.
 
-Runtime overheads (spawn, steal, queue operations) are accounted in
-cycles and folded into the next work segment the worker issues, so they
-cost simulated time and energy on the core that incurred them without
-doubling the event count.
+Runtime overheads (spawn, steal, queue operations) are configured in
+cycles, converted to seconds once by the scheduler, and folded into the
+next work segment the worker issues, so they cost simulated time and
+energy on the core that incurred them without doubling the event count.
 
 The MAESTRO throttle path (Section IV): when a worker looks for new work
 while throttling is active and its shepherd is over its limit, it enters
@@ -99,12 +99,12 @@ class Worker:
             + ovh * _OVERHEAD_MEM_FRACTION
         ) / total
         return Segment(
-            solo_seconds=total,
-            mem_fraction=mem,
-            power_scale=segment.power_scale,
-            contention_exponent=segment.contention_exponent,
-            coherence_penalty=segment.coherence_penalty,
-            tag=segment.tag,
+            total,
+            mem,
+            segment.power_scale,
+            segment.contention_exponent,
+            segment.coherence_penalty,
+            segment.tag,
         )
 
     # ------------------------------------------------------------------
@@ -139,7 +139,7 @@ class Worker:
         # (3) local LIFO pop
         task = self.shepherd.pop_local()
         if task is not None:
-            self.charge_cycles(sched.overhead.queue_op_cycles)
+            self.pending_overhead_s += sched.queue_op_s
             self._run_task(task)
             return
 
@@ -147,7 +147,7 @@ class Worker:
         task = sched.steal_for(self)
         if task is not None:
             self.steals += 1
-            self.charge_cycles(sched.overhead.steal_overhead_cycles)
+            self.pending_overhead_s += sched.steal_overhead_s
             self._run_task(task)
             return
 
@@ -187,11 +187,11 @@ class Worker:
                 return
             value = None
 
-            if isinstance(op, Segment):
-                op = Compute(op)
-
-            if isinstance(op, Compute):
-                seg = self._merge_overhead(op.segment)
+            # Work is by far the most common operation: one type check
+            # covers both spellings without re-wrapping a bare segment.
+            kind = type(op)
+            if kind is Segment or kind is Compute:
+                seg = self._merge_overhead(op if kind is Segment else op.segment)
                 self.segments_issued += 1
                 sched.node.assign(self.core_index, seg, on_complete=self._on_segment_done)
                 return
@@ -200,7 +200,7 @@ class Worker:
                 child = Task(op.gen, parent=task, label=op.label)
                 task.pending_children += 1
                 task.children_spawned += 1
-                self.charge_cycles(sched.overhead.spawn_overhead_cycles)
+                self.pending_overhead_s += sched.spawn_overhead_s
                 sched.spawn_count += 1
                 sched.enqueue(child, self.shepherd.sid)
                 value = child
@@ -220,7 +220,7 @@ class Worker:
 
             if isinstance(op, YieldTask):
                 task.state = TaskState.QUEUED
-                self.charge_cycles(sched.overhead.queue_op_cycles)
+                self.pending_overhead_s += sched.queue_op_s
                 # Behind the local work, or a LIFO pop hands it right back.
                 sched.enqueue(task, self.shepherd.sid, cold=True)
                 self._park_and_seek()
@@ -264,7 +264,7 @@ class Worker:
     def _finish_task(self, task: Task, result: Any) -> None:
         sched = self.scheduler
         sched.completed_count += 1
-        self.charge_cycles(sched.overhead.queue_op_cycles)
+        self.pending_overhead_s += sched.queue_op_s
         parent = task.parent
         task.mark_done(result)
         if parent is not None:
@@ -295,7 +295,7 @@ class Worker:
             privileged=True,
         )
         sched.node.set_spin(self.core_index)
-        self.charge_cycles(sched.overhead.queue_op_cycles)
+        self.pending_overhead_s += sched.queue_op_s
 
     def wake_from_spin(self) -> None:
         """Exit the spin loop (throttle off / region end / app end).

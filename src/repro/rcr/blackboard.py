@@ -10,20 +10,21 @@ clients can detect staleness, just as they must with the real daemon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator, NamedTuple, Optional
 
 from repro.errors import MeasurementError
 
 
-@dataclass(frozen=True)
-class MeterRecord:
-    """One published meter value."""
+class MeterRecord(NamedTuple):
+    """One published meter value (immutable; one per daemon publish)."""
 
     path: str
     value: float
     timestamp: float
     version: int
+
+
+_new_tuple = tuple.__new__
 
 
 class Blackboard:
@@ -38,8 +39,10 @@ class Blackboard:
         if not path:
             raise MeasurementError("meter path must be non-empty")
         self._version += 1
-        record = MeterRecord(path=path, value=float(value),
-                             timestamp=timestamp, version=self._version)
+        # ``tuple.__new__`` directly, as ``MeterRecord._make`` does: the
+        # daemon publishes two dozen meters per tick, and the generated
+        # constructor would add a Python frame to each.
+        record = _new_tuple(MeterRecord, (path, float(value), timestamp, self._version))
         self._meters[path] = record
         return record
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.calibration.fit import (
     _interval_power_terms,
@@ -203,10 +203,3 @@ def roofline_envelope(
             ),
         ))
     return violations
-
-
-def check_roofline(
-    spec: "SchedSpec", stats: "SchedStats"
-) -> Iterable[Violation]:
-    """Alias used by the validate layer (mirrors check_cluster_budgets)."""
-    return roofline_envelope(spec, stats)

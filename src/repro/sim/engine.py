@@ -14,11 +14,12 @@ Design notes
 * The heap holds ``(time, priority, seq, event)`` tuples (see
   :mod:`repro.sim.events`): comparisons stay in C and never touch the
   event objects, which is the single biggest per-event cost saving.
-* Cancellation is lazy (see :class:`~repro.sim.events.EventHandle`): the
-  heap may hold dead entries which are skipped on pop.  A compaction pass
+* Cancellation is lazy (see :class:`~repro.sim.events.ScheduledEvent`,
+  which is also the handle :meth:`Engine.schedule` returns): the heap may
+  hold dead entries which are skipped on pop.  A compaction pass
   runs when dead entries dominate, keeping memory bounded for long runs.
   Firing an event marks it consumed, so a late ``cancel()`` on an
-  already-fired handle cannot skew the dead-entry count (that skew
+  already-fired event cannot skew the dead-entry count (that skew
   previously made :attr:`Engine.pending` drift negative and triggered
   compaction passes over heaps with nothing to compact).
 * Callbacks may schedule further events, including at the current time.
@@ -42,7 +43,7 @@ from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
 from repro.sim.clock import Clock
-from repro.sim.events import EventHandle, Priority, ScheduledEvent
+from repro.sim.events import Priority, ScheduledEvent
 from repro.sim.trace import Trace
 
 #: Compact the heap when more than this fraction of entries are cancelled
@@ -100,7 +101,7 @@ class Engine:
         *,
         priority: int = Priority.USER,
         label: str = "",
-    ) -> EventHandle:
+    ) -> ScheduledEvent:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past: delay={delay!r}")
@@ -113,7 +114,7 @@ class Engine:
         *,
         priority: int = Priority.USER,
         label: str = "",
-    ) -> EventHandle:
+    ) -> ScheduledEvent:
         """Schedule ``callback`` at absolute simulation time ``time``."""
         if time < self.clock.now:
             raise SimulationError(
@@ -122,9 +123,9 @@ class Engine:
         seq = self._seq
         self._seq = seq + 1
         prio = int(priority)
-        event = ScheduledEvent(time, prio, seq, callback, label)
+        event = ScheduledEvent(time, prio, seq, callback, label, self)
         heapq.heappush(self._heap, (time, prio, seq, event))
-        return _TrackingHandle(event, self)
+        return event
 
     # ------------------------------------------------------------------
     # probes (observation hooks)
@@ -316,18 +317,3 @@ class Engine:
     def stop(self) -> None:
         """Request that :meth:`run` return after the current callback."""
         self._stop_requested = True
-
-
-class _TrackingHandle(EventHandle):
-    """EventHandle that informs the engine of cancellations for compaction."""
-
-    __slots__ = ("_engine",)
-
-    def __init__(self, event: ScheduledEvent, engine: Engine) -> None:
-        super().__init__(event)
-        self._engine = engine
-
-    def cancel(self) -> None:
-        if not self._event.cancelled:
-            self._event.cancelled = True
-            self._engine._note_cancel()

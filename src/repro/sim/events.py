@@ -15,12 +15,22 @@ needs no ordering protocol at all and can be a bare ``__slots__`` record.
 This is worth >1.5x on event-drain microbenchmarks versus the previous
 ``dataclass(order=True)`` design, whose generated ``__lt__`` built a
 fresh tuple pair on every heap sift comparison.
+
+The event is also its own cancel handle: :meth:`Engine.schedule
+<repro.sim.engine.Engine.schedule>` returns the :class:`ScheduledEvent` it
+pushed, so scheduling allocates one object.  The fluid node model cancels
+and reschedules its completion event on almost every state change, so a
+separate handle object would be one of the most frequent allocations on
+the hot path.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.engine import Engine
 
 
 class Priority(enum.IntEnum):
@@ -44,15 +54,22 @@ class Priority(enum.IntEnum):
 
 
 class ScheduledEvent:
-    """A callback scheduled at an absolute simulation time.
+    """A callback scheduled at an absolute simulation time, and its handle.
+
+    Cancellation is lazy: :meth:`cancel` marks the event and leaves it in
+    the heap, where it is skipped when popped.  This keeps cancellation
+    O(1), which matters because the fluid execution model cancels and
+    reschedules the "next segment completion" event on almost every state
+    change.  The engine counts each cancellation so it can compact the
+    heap once dead entries dominate.
 
     ``cancelled`` doubles as the *consumed* flag: the engine sets it when
-    the event fires, so a handle cancelled after its event already ran is
-    a no-op instead of corrupting the engine's dead-entry accounting (the
-    event is no longer in the heap, so there is nothing to compact away).
+    the event fires, so an event cancelled after it already ran is a no-op
+    instead of corrupting the engine's dead-entry accounting (the event is
+    no longer in the heap, so there is nothing to compact away).
     """
 
-    __slots__ = ("time", "priority", "seq", "callback", "label", "cancelled")
+    __slots__ = ("time", "priority", "seq", "callback", "label", "cancelled", "_engine")
 
     def __init__(
         self,
@@ -60,15 +77,27 @@ class ScheduledEvent:
         priority: int,
         seq: int,
         callback: Callable[[], Any],
-        label: str = "",
-        cancelled: bool = False,
+        label: str,
+        engine: "Engine",
     ) -> None:
         self.time = time
         self.priority = priority
         self.seq = seq
         self.callback = callback
         self.label = label
-        self.cancelled = cancelled
+        self.cancelled = False
+        self._engine = engine
+
+    @property
+    def active(self) -> bool:
+        """True while the event is still pending (not cancelled, not fired)."""
+        return not self.cancelled
+
+    def cancel(self) -> None:
+        """Prevent the event from firing.  Idempotent; no-op after firing."""
+        if not self.cancelled:
+            self.cancelled = True
+            self._engine._note_cancel()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "pending"
@@ -78,30 +107,6 @@ class ScheduledEvent:
         )
 
 
-class EventHandle:
-    """Cancellation handle returned by :meth:`repro.sim.engine.Engine.schedule`.
-
-    Cancellation is lazy: the event stays in the heap but is skipped when
-    popped.  This keeps cancellation O(1), which matters because the fluid
-    execution model cancels and reschedules the "next segment completion"
-    event on almost every state change.
-    """
-
-    __slots__ = ("_event",)
-
-    def __init__(self, event: ScheduledEvent) -> None:
-        self._event = event
-
-    @property
-    def time(self) -> float:
-        """Absolute time the event is (or was) scheduled to fire."""
-        return self._event.time
-
-    @property
-    def active(self) -> bool:
-        """True while the event is still pending (not cancelled, not fired)."""
-        return not self._event.cancelled
-
-    def cancel(self) -> None:
-        """Prevent the event from firing.  Idempotent; no-op after firing."""
-        self._event.cancelled = True
+#: The cancellation handle :meth:`repro.sim.engine.Engine.schedule` returns
+#: is the scheduled event itself.
+EventHandle = ScheduledEvent

@@ -36,7 +36,7 @@ taxonomy (see :mod:`repro.faults.expectations`):
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.harness.spec import Spec
@@ -138,9 +138,3 @@ class ValidationReport:
             f"{len(self.unexpected)} unexpected / "
             f"{len(self.expected_violations)} expected violations"
         )
-
-
-def merge_counts(into: dict[str, int], counts: Iterable[str]) -> None:
-    """Tally invariant names into a counts dict (helper for the checker)."""
-    for name in counts:
-        into[name] = into.get(name, 0) + 1

@@ -1,11 +1,12 @@
 """Worker and scheduler internals: overheads, stealing, shepherds."""
 
+import numpy as np
 import pytest
 
 from repro.config import MachineConfig, RuntimeConfig
 from repro.errors import SchedulerError
 from repro.hw.core import Segment
-from repro.qthreads import Spawn, Taskwait, Work
+from repro.qthreads import Compute, Runtime, Spawn, Taskwait, Work
 from repro.qthreads.task import Task, TaskState
 from repro.qthreads.worker import Worker, WorkerState
 from tests.conftest import make_runtime
@@ -191,3 +192,83 @@ def test_wake_from_spin_is_noop_for_non_spinners():
     worker = rt.scheduler.workers[0]
     worker.wake_from_spin()  # must not blow up
     assert worker.state is WorkerState.IDLE
+
+
+# ----------------------------------------------------------------------
+# steal victim choice: the single-candidate shortcut draws nothing
+# ----------------------------------------------------------------------
+def _queued_task(label: str) -> Task:
+    def body():
+        yield Work(0.001)
+    return Task(body(), label=label)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+def test_permutation_of_one_draws_nothing(seed):
+    """The fact the shortcut rests on: ``permutation(1)`` leaves the stream."""
+    rng = np.random.default_rng(seed)
+    before = rng.bit_generator.state
+    assert list(rng.permutation(1)) == [0]
+    assert rng.bit_generator.state == before
+
+
+def test_single_candidate_steal_takes_oldest_without_drawing():
+    rt = make_runtime(16)
+    sched = rt.scheduler
+    assert len(sched.shepherds) == 2
+    thief = sched.shepherds[0].workers[0]
+    victim = sched.shepherds[1]
+    tasks = [_queued_task(f"t{i}") for i in range(3)]
+    for task in tasks:
+        victim.enqueue(task)
+    before = sched.rng.bit_generator.state
+    assert sched.steal_for(thief) is tasks[0]  # FIFO end: the oldest
+    assert sched.rng.bit_generator.state == before
+    assert len(victim.queue) == 2
+
+
+def test_several_candidates_still_draw_victim_order():
+    rt = Runtime(MachineConfig(), RuntimeConfig(num_threads=16, shepherds_per_socket=2))
+    sched = rt.scheduler
+    assert len(sched.shepherds) == 4
+    thief = sched.shepherds[0].workers[0]
+    oldest = []
+    for shepherd in sched.shepherds[1:3]:
+        first = _queued_task("first")
+        shepherd.enqueue(first)
+        shepherd.enqueue(_queued_task("second"))
+        oldest.append(first)
+    before = sched.rng.bit_generator.state
+    stolen = sched.steal_for(thief)
+    assert sched.rng.bit_generator.state != before
+    assert stolen in oldest
+
+
+def _issued_segments(op) -> list:
+    """Segments a 1-thread runtime hands its node for a task yielding ``op``."""
+    rt = make_runtime(1)
+    issued = []
+    assign = rt.node.assign
+
+    def spy(core_index, segment, on_complete=None):
+        issued.append(segment)
+        assign(core_index, segment, on_complete)
+
+    rt.node.assign = spy
+
+    def program():
+        yield op
+        return 1
+
+    rt.run(program())
+    return issued
+
+
+def test_bare_segment_and_compute_issue_the_same_segment():
+    """Yielding ``seg`` or ``Compute(seg)`` hands the node one merged value."""
+    seg = Segment(0.25, 0.4, power_scale=1.2, tag="w")
+    bare = _issued_segments(seg)
+    assert bare == _issued_segments(Compute(seg))
+    # The first segment carries the spawn/queue overhead merged in.
+    assert bare[0].solo_seconds > 0.25
+    assert type(bare[0]) is Segment

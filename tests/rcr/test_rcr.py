@@ -6,7 +6,7 @@ from repro.errors import MeasurementError
 from repro.hw.core import Segment
 from repro.hw.msr import MSRFile, MSR_PKG_ENERGY_STATUS
 from repro.measure.energy import EnergyReader, MultiSocketEnergyReader
-from repro.rcr import Blackboard, RCRDaemon, RegionClient, meters
+from repro.rcr import Blackboard, MeterRecord, RCRDaemon, RegionClient, meters
 from repro.units import RAPL_COUNTER_MODULUS, RAPL_ENERGY_UNIT_J
 
 
@@ -18,6 +18,18 @@ def test_blackboard_publish_read():
     assert record.value == 75.5
     assert record.timestamp == 1.0
     assert record.version == 1
+
+
+def test_meter_record_is_immutable():
+    bb = Blackboard()
+    record = bb.publish("node.power_w", 3, timestamp=0.5)
+    assert record == MeterRecord("node.power_w", 3.0, 0.5, 1)
+    assert type(record.value) is float
+    with pytest.raises(AttributeError):
+        record.value = 9.0
+    with pytest.raises(AttributeError):
+        record.version = 7
+    assert bb.read("node.power_w") is record
 
 
 def test_blackboard_versions_increase():

@@ -17,7 +17,62 @@ Two historical bugs are pinned here:
 from __future__ import annotations
 
 from repro.sim.engine import _COMPACT_MIN_SIZE, Engine
-from repro.sim.events import Priority
+from repro.sim.events import EventHandle, Priority, ScheduledEvent
+
+
+def test_schedule_returns_the_event_as_its_handle() -> None:
+    engine = Engine()
+    handle = engine.schedule(0.5, lambda: None, label="x")
+    assert type(handle) is ScheduledEvent
+    assert EventHandle is ScheduledEvent
+    assert engine._heap[0][3] is handle  # no wrapper: the heap entry itself
+    assert handle.time == 0.5
+    assert handle.active
+    assert engine.schedule_at(0.25, lambda: None).time == 0.25
+
+
+def test_double_cancel_counts_once() -> None:
+    engine = Engine()
+    keep = engine.schedule(1.0, lambda: None)
+    doomed = engine.schedule(2.0, lambda: None)
+    doomed.cancel()
+    doomed.cancel()
+    assert not doomed.active
+    assert engine._cancelled == 1
+    assert engine.pending == 1
+    engine.run()
+    assert engine.fired == 1
+    assert not keep.active
+    assert engine.pending == 0
+
+
+def test_cancel_after_fire_leaves_pending_unchanged() -> None:
+    engine = Engine()
+    first = engine.schedule(1.0, lambda: None)
+    engine.schedule(2.0, lambda: None)
+    engine.run(until=1.5)
+    assert engine.fired == 1
+    assert engine.pending == 1
+    first.cancel()
+    assert engine.pending == 1
+    assert engine._cancelled == 0
+
+
+def test_compaction_fires_once_dead_entries_pass_half() -> None:
+    engine = Engine()
+    size = 2 * _COMPACT_MIN_SIZE
+    handles = [engine.schedule(1.0 + i, lambda: None) for i in range(size)]
+    for handle in handles[: size // 2]:
+        handle.cancel()
+    # Exactly half dead: not yet past the ratio, nothing compacted.
+    assert len(engine._heap) == size
+    assert engine._cancelled == size // 2
+    handles[size // 2].cancel()
+    # One more tips it past 50%: the dead entries are gone.
+    assert len(engine._heap) == size // 2 - 1
+    assert engine._cancelled == 0
+    assert engine.pending == size // 2 - 1
+    assert all(entry[3].active for entry in engine._heap)
 
 
 def test_cancel_after_fire_is_a_noop() -> None:
