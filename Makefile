@@ -128,10 +128,14 @@ smoke-faults:
 bench:
 	$(PYTHON) perfbench/run.py
 
-# One traced paper-tables run: the same-work counts and the per-layer
-# cProfile self time (self_s.*) that hot-path changes are compared on.
+# One traced run of one workload (paper-tables unless WORKLOAD is set,
+# e.g. make profile WORKLOAD=sched-campaign): the same-work counts and
+# the per-layer cProfile self time (self_s.*) that hot-path changes are
+# compared on.
+WORKLOAD ?= paper-tables
+
 profile:
-	$(PYTHON) perfbench/run.py --workload paper-tables --seed 1 --trace 1
+	$(PYTHON) perfbench/run.py --workload $(WORKLOAD) --seed 1 --trace 1
 
 # Regenerate EXPERIMENTS.md (runs the full evaluation, ~5-10 minutes).
 reproduce:

@@ -202,9 +202,15 @@ class PredictorModel:
 
     def predict_edp(self, app: str, threads: int, scale: float,
                     pressure: float = 0.0) -> float:
-        """Energy-delay product of one job under ``pressure``."""
-        t = self.predict_time_s(app, threads, scale, pressure)
-        return self.predict_watts(app, threads) * t * t
+        """Energy-delay product of one job under ``pressure``.
+
+        Bit for bit ``predict_watts(...) * t * t`` with
+        ``t = predict_time_s(...)``, from one entry lookup.
+        """
+        entry = self._resolve(app, threads)
+        t = (entry.unit_time_s * scale
+             * (1.0 + entry.sens_slope * max(0.0, pressure)))
+        return entry.watts * t * t
 
     def intensity_of(self, app: str, threads: int) -> float:
         return self._resolve(app, threads).intensity

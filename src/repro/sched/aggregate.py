@@ -131,18 +131,20 @@ class SchedAccumulator:
         self.jobs_per_node.setdefault(name, 0)
 
     def add_job(self, record: "JobRecord") -> None:
+        wait = record.wait_s
+        slowdown = record.slowdown
         self.completed += 1
         self.energy_sum_j += record.energy_j
-        self.wait_sum_s += record.wait_s
-        self.slowdown_sum += record.slowdown
+        self.wait_sum_s += wait
+        self.slowdown_sum += slowdown
         self.service_sum_s += record.time_s
         if record.finish_s > self.makespan_s:
             self.makespan_s = record.finish_s
         self.jobs_per_node[record.node] = (
             self.jobs_per_node.get(record.node, 0) + 1
         )
-        self.wait_sketch.add(record.wait_s)
-        self.slowdown_sketch.add(record.slowdown)
+        self.wait_sketch.add(wait)
+        self.slowdown_sketch.add(slowdown)
         self.energy_sketch.add(record.energy_j)
 
     def add_rejection(self, index: int) -> None:

@@ -206,7 +206,7 @@ class WaterfillPowerAware:
         if not queue or not idle:
             return None
         need = estimate_job_power_w(queue[0].threads)
-        any_busy = any(n.busy for n in nodes)
+        any_busy = len(idle) < len(nodes)
         if any_busy and state.total_power_w + need > state.global_budget_w:
             return None  # hold until running jobs free up watts
         chosen = min(
@@ -270,7 +270,7 @@ class PredictedPlacement:
         need = max(
             0.0, model.predict_watts(job.app, job.threads) - _NODE_IDLE_W
         )
-        any_busy = any(n.busy for n in nodes)
+        any_busy = len(idle) < len(nodes)
         if any_busy and state.total_power_w + need > state.global_budget_w:
             return None  # hold until running jobs free up watts
         sensitivity = model.sensitivity_of(job.app, job.threads)

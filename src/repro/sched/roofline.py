@@ -119,11 +119,26 @@ def roofline_point(
     )
 
 
-def job_cost(job: "Job", machine: MachineConfig = PAPER_MACHINE) -> RooflinePoint:
-    """Roofline time/energy for one trace job (scaled by ``job.scale``)."""
-    unit = roofline_point(
-        job.app, job.threads, job.compiler, job.optlevel, machine=machine
-    )
+@lru_cache(maxsize=None)
+def _paper_point(
+    app: str, threads: int, compiler: str, optlevel: str
+) -> RooflinePoint:
+    """:func:`roofline_point` on the paper machine, keyed without it.
+
+    :func:`job_cost` looks a point up for every job, and the cache key
+    of ``roofline_point`` holds the nested frozen ``MachineConfig``,
+    which is re-hashed field by field on every call.
+    """
+    return roofline_point(app, threads, compiler, optlevel)
+
+
+def job_cost(job: "Job") -> RooflinePoint:
+    """Roofline time/energy for one trace job (scaled by ``job.scale``).
+
+    Jobs are priced on the paper machine, the only machine a scheduled
+    cluster is built from.
+    """
+    unit = _paper_point(job.app, job.threads, job.compiler, job.optlevel)
     return RooflinePoint(
         app=job.app,
         threads=job.threads,

@@ -75,7 +75,7 @@ class QuantileSketch:
     # ------------------------------------------------------------------
     def add(self, value: float) -> None:
         """Insert one sample (negative values are a caller bug)."""
-        if value < 0.0 or math.isnan(value) or math.isinf(value):
+        if not 0.0 <= value < math.inf:  # negative, NaN or infinite
             raise ConfigError(
                 f"sketch values must be finite and >= 0, got {value!r}"
             )
@@ -134,16 +134,15 @@ class QuantileSketch:
             self.buckets[index] = self.buckets.get(index, 0) + n
         self.count += other.count
         self.total += other.total
-        for value in (other.min_value,):
-            if value is not None and (
-                self.min_value is None or value < self.min_value
-            ):
-                self.min_value = value
-        for value in (other.max_value,):
-            if value is not None and (
-                self.max_value is None or value > self.max_value
-            ):
-                self.max_value = value
+        low, high = other.min_value, other.max_value
+        if low is not None and (
+            self.min_value is None or low < self.min_value
+        ):
+            self.min_value = low
+        if high is not None and (
+            self.max_value is None or high > self.max_value
+        ):
+            self.max_value = high
 
     def copy(self) -> "QuantileSketch":
         dup = QuantileSketch(self.rel_err)

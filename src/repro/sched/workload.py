@@ -134,7 +134,7 @@ def _iter_gaps(profile: str, jobs: int, rate: float, rng) -> Iterator[float]:
             lam = rate * (
                 1.0 + _DIURNAL_AMPLITUDE * math.sin(2.0 * math.pi * t / day_s)
             )
-            if float(rng.uniform()) * peak <= lam:
+            if rng.random() * peak <= lam:
                 yield t - last
                 last = t
                 yielded += 1
@@ -195,7 +195,8 @@ def iter_trace(
         t += next(gaps)
         app = apps[int(rng.integers(0, len(apps)))]
         threads = THREAD_CHOICES[int(rng.integers(0, len(THREAD_CHOICES)))]
-        job_scale = scale * float(rng.uniform(0.75, 1.25))
+        # uniform(0.75, 1.25) draws 0.75 + 0.5 * random(), bit for bit.
+        job_scale = scale * (0.75 + 0.5 * rng.random())
         if i < start:
             continue
         yield Job(

@@ -126,9 +126,12 @@ def test_rejects_garbage():
     with pytest.raises(ConfigError):
         QuantileSketch(rel_err=0.5)
     sketch = QuantileSketch()
-    for bad in (-1.0, math.nan, math.inf):
+    for bad in (-1.0, -1e-300, math.nan, math.inf, -math.inf):
         with pytest.raises(ConfigError):
             sketch.add(bad)
+    assert sketch.count == 0
+    sketch.add(-0.0)  # compares equal to 0.0: a zero, not a negative
+    assert sketch.zeros == 1
     with pytest.raises(ConfigError):
         sketch.quantile(101)
 
