@@ -23,17 +23,22 @@ rather than a hope.
   long sweeps can be abandoned between runs;
 * every step narrated as typed telemetry events on the bus.
 
-:func:`run_spec_subprocess` is the hard-isolation entry the experiment
-service builds on: one spec in one fresh, killable child process, with
-an enforced wall-clock deadline (:class:`~repro.errors.WorkerTimeout`)
-and crash detection (:class:`~repro.errors.WorkerCrashed`).
+:class:`SpecWorker` is the hard-isolation unit the experiment service
+builds on: one warm, killable child process that runs the specs sent to
+it one at a time, with an enforced wall-clock deadline
+(:class:`~repro.errors.WorkerTimeout`) and crash detection
+(:class:`~repro.errors.WorkerCrashed`).  The service keeps one per busy
+slot and retires it on any failure; :func:`run_spec_subprocess` is the
+one-job use of the same child loop.
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 import signal
+import stat
 import sys
 import threading
 import time
@@ -80,12 +85,15 @@ def _pool_initializer(paths: list[str]) -> None:
             sys.path.insert(0, path)
 
 
-def _make_pool(workers: int) -> ProcessPoolExecutor:
+def _fork_context():
     methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
+    return multiprocessing.get_context("fork" if "fork" in methods else None)
+
+
+def _make_pool(workers: int) -> ProcessPoolExecutor:
     return ProcessPoolExecutor(
         max_workers=workers,
-        mp_context=ctx,
+        mp_context=_fork_context(),
         initializer=_pool_initializer,
         initargs=(list(sys.path),),
     )
@@ -113,30 +121,142 @@ def _reset_inherited_signals() -> None:
             pass
 
 
-def _subprocess_main(conn, paths: list[str], entry, spec) -> None:
-    """Child-side wrapper: run ``entry(spec)`` and ship the outcome back."""
-    _reset_inherited_signals()
-    _pool_initializer(paths)
+def _detach_inherited_fds(keep: int) -> None:
+    """Point inherited descriptors but stdio, pipes and ``keep`` at /dev/null.
+
+    A long-lived worker forked from the service would otherwise hold the
+    service's listening socket, its client connections, its journal (and
+    the journal's ``flock``) and the parent ends of its siblings' worker
+    connections: a connection the service closes would stay open, a
+    stopped service's journal would stay locked, and a sibling would not
+    see its parent's death as EOF.  Pipes stay: one of them is the
+    sentinel ``multiprocessing`` watches to bound ``Process.join``.
+    Descriptors are replaced, not closed, so an inherited object that
+    later closes "its" fd closes /dev/null rather than a file this child
+    opened since.
+    """
     try:
-        outcome = ("ok", entry(spec))
-    except BaseException as exc:  # noqa: BLE001 - shipped to the parent
-        outcome = ("err", exc)
+        fds = [int(name) for name in os.listdir("/proc/self/fd")]
+    except OSError:  # pragma: no cover - no procfs: keep what was inherited
+        return
+    null = os.open(os.devnull, os.O_RDWR)
     try:
-        conn.send(outcome)
-    except Exception:
-        # Unpicklable result/exception: degrade to a repr the parent can
-        # still raise as a HarnessError.
-        conn.send(("err", HarnessError(repr(outcome[1]))))
+        for fd in fds:
+            if fd <= 2 or fd in (keep, null):
+                continue
+            with contextlib.suppress(OSError):
+                if not stat.S_ISFIFO(os.fstat(fd).st_mode):
+                    os.dup2(null, fd)
     finally:
-        conn.close()
+        os.close(null)
+
+
+def _worker_main(conn, paths: list[str], entry) -> None:
+    """Child-side loop: ``entry(spec)`` for each spec received, in turn.
+
+    Serves until the parent's end of the pipe closes (the parent retired
+    this worker, or died).  One job at a time, so a death is always
+    attributable to the job in hand.
+    """
+    _reset_inherited_signals()
+    _detach_inherited_fds(conn.fileno())
+    _pool_initializer(paths)
+    while True:
+        try:
+            spec = conn.recv()
+        except (EOFError, OSError):
+            return
+        try:
+            outcome = ("ok", entry(spec))
+        except BaseException as exc:  # noqa: BLE001 - shipped to the parent
+            outcome = ("err", exc)
+        try:
+            conn.send(outcome)
+        except Exception:
+            # Unpicklable result/exception: degrade to a repr the parent
+            # can still raise as a HarnessError.
+            conn.send(("err", HarnessError(repr(outcome[1]))))
 
 
 def _kill_process(proc, grace_s: float) -> None:
     proc.terminate()
     proc.join(grace_s)
-    if proc.is_alive():  # pragma: no cover - SIGTERM normally suffices
+    if proc.is_alive():  # SIGTERM ignored
         proc.kill()
         proc.join(grace_s)
+
+
+class SpecWorker:
+    """One killable child process running specs sent to it, one at a time.
+
+    The child forks on construction and calls ``entry(spec)`` for every
+    spec :meth:`run` sends.  After anything but a result (timeout, crash,
+    spec error) the caller should :meth:`close` the worker, not reuse it.
+    """
+
+    def __init__(self, entry: Callable = _plain_entry, *,
+                 grace_s: float = 2.0) -> None:
+        ctx = _fork_context()
+        self.grace_s = grace_s
+        self._conn, child_conn = ctx.Pipe()
+        self._proc = ctx.Process(
+            target=_worker_main,
+            args=(child_conn, list(sys.path), entry),
+            daemon=True,
+        )
+        self._proc.start()
+        child_conn.close()
+        self.pid: int = self._proc.pid
+
+    def is_alive(self) -> bool:
+        return self._proc.is_alive()
+
+    def run(self, spec: Spec, *, timeout_s: Optional[float] = None):
+        """Execute ``spec`` in the child; returns whatever ``entry`` returns.
+
+        Raises :class:`~repro.errors.WorkerTimeout` when the child exceeds
+        ``timeout_s`` (it is terminated first, so a runaway run cannot
+        leak), :class:`~repro.errors.WorkerCrashed` when the child dies
+        without reporting a result (OOM kill, SIGKILL, hard crash), and
+        re-raises the entry's own exception for ordinary spec failures.
+        """
+        proc = self._proc
+        try:
+            self._conn.send(spec)
+            ready = self._conn.poll(timeout_s)
+            if ready:
+                status, payload = self._conn.recv()
+        except (EOFError, OSError) as exc:
+            proc.join(self.grace_s)
+            raise WorkerCrashed(
+                f"worker pid {self.pid} died without a result for "
+                f"{spec.describe()} (exitcode {proc.exitcode})"
+            ) from exc
+        if not ready:
+            _kill_process(proc, self.grace_s)
+            raise WorkerTimeout(
+                f"{spec.describe()} exceeded its {timeout_s:.3g}s deadline "
+                f"(worker pid {self.pid} killed)"
+            )
+        if status == "err":
+            raise payload
+        return payload
+
+    def kill(self) -> None:
+        """SIGKILL the child; a run in progress reports a crash.
+
+        Safe from any thread: a child already reaped is not signalled,
+        so its pid cannot name another process.
+        """
+        with contextlib.suppress(OSError):
+            self._proc.kill()
+
+    def close(self) -> None:
+        """Retire the worker: end its loop, reap it, kill it if it lingers."""
+        self._conn.close()
+        self._proc.join(self.grace_s)
+        if self._proc.is_alive():
+            _kill_process(self._proc, self.grace_s)
 
 
 def run_spec_subprocess(
@@ -147,55 +267,20 @@ def run_spec_subprocess(
     grace_s: float = 2.0,
     on_start: Optional[Callable[[int], None]] = None,
 ):
-    """Execute one spec in a fresh, killable child process.
+    """Execute one spec in a fresh, killable child: a one-job :class:`SpecWorker`.
 
     Returns whatever ``entry`` returns (``(record, report)`` for the
-    default entries).  ``on_start`` receives the child's pid as soon as
-    it is running — chaos tests and the service's in-flight registry use
-    it to target (or observe) the worker.
-
-    Raises :class:`~repro.errors.WorkerTimeout` when the child exceeds
-    ``timeout_s`` (it is terminated first, so a runaway run cannot leak),
-    :class:`~repro.errors.WorkerCrashed` when the child dies without
-    reporting a result (OOM kill, SIGKILL, hard crash), and re-raises
-    the entry's own exception for ordinary spec failures.
+    default entries) and raises as :meth:`SpecWorker.run` does.
+    ``on_start`` receives the child's pid as soon as it is running —
+    chaos tests use it to target (or observe) the worker.
     """
-    methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-    parent_conn, child_conn = ctx.Pipe(duplex=False)
-    proc = ctx.Process(
-        target=_subprocess_main,
-        args=(child_conn, list(sys.path), entry, spec),
-        daemon=True,
-    )
-    proc.start()
-    child_conn.close()
-    if on_start is not None:
-        on_start(proc.pid)
+    worker = SpecWorker(entry, grace_s=grace_s)
     try:
-        if not parent_conn.poll(timeout_s):
-            _kill_process(proc, grace_s)
-            raise WorkerTimeout(
-                f"{spec.describe()} exceeded its {timeout_s:.3g}s deadline "
-                f"(worker pid {proc.pid} killed)"
-            )
-        try:
-            status, payload = parent_conn.recv()
-        except (EOFError, OSError) as exc:
-            proc.join(grace_s)
-            raise WorkerCrashed(
-                f"worker pid {proc.pid} died without a result for "
-                f"{spec.describe()} (exitcode {proc.exitcode})"
-            ) from exc
+        if on_start is not None:
+            on_start(worker.pid)
+        return worker.run(spec, timeout_s=timeout_s)
     finally:
-        parent_conn.close()
-        if proc.is_alive():
-            _kill_process(proc, grace_s)
-        else:
-            proc.join(grace_s)
-    if status == "err":
-        raise payload
-    return payload
+        worker.close()
 
 
 class BatchExecutor:

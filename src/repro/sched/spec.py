@@ -19,6 +19,7 @@ violations the run recorded on its result.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, ClassVar, Optional
 
@@ -108,7 +109,9 @@ class SchedSpec(Spec):
             )
         if self.nodes < 1:
             raise ConfigError(f"nodes must be >= 1, got {self.nodes!r}")
-        if not 0 < self.budget_w < math.inf:
+        # An int past the float range would pass `< math.inf` and then
+        # overflow wherever the budget is used as a float.
+        if not 0 < self.budget_w <= sys.float_info.max:
             raise ConfigError(
                 f"budget must be finite and positive, got {self.budget_w!r}"
             )

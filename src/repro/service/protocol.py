@@ -91,6 +91,9 @@ def decode_frame(line: bytes) -> dict[str, Any]:
         raise ProtocolError(f"frame is not valid UTF-8: {exc}") from exc
     except ValueError as exc:
         raise ProtocolError(f"frame is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        # ~1000 nested brackets fit well inside one frame.
+        raise ProtocolError("frame nests too deeply") from exc
     if not isinstance(obj, dict):
         raise ProtocolError(
             f"frame must be a JSON object, got {type(obj).__name__}"
@@ -182,7 +185,8 @@ def _coerce_sched(fields: dict[str, Any]) -> None:
             )
         try:
             fields["predictor"] = PredictorModel.from_payload(predictor)
-        except (ConfigError, KeyError, TypeError, ValueError) as exc:
+        except (ConfigError, KeyError, TypeError, ValueError,
+                OverflowError) as exc:  # int(Infinity) overflows
             raise ProtocolError(f"invalid sched predictor: {exc}") from exc
 
 
@@ -245,6 +249,9 @@ def _require_str(frame: dict[str, Any], key: str) -> str:
 
 def validate_request(frame: dict[str, Any]) -> dict[str, Any]:
     """Shape-check one request frame; returns it unchanged if valid."""
+    if not isinstance(frame, dict):
+        raise ProtocolError(
+            f"request frame must be an object, got {type(frame).__name__}")
     op = frame.get("op")
     if not isinstance(op, str):
         raise ProtocolError("request frame requires a string 'op'")

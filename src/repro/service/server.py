@@ -3,8 +3,8 @@
 One process, four moving parts::
 
     TCP listener ──> admission control ──> FIFO queue ──> worker slots
-    (NDJSON)         (quota, depth,        (bounded)      (fresh killable
-                      dedup, cache)                        subprocesses)
+    (NDJSON)         (quota, depth,        (bounded)      (one warm killable
+                      dedup, cache)                        child per slot)
                            │                                   │
                        WAL journal <───── every transition ────┘
                            │
@@ -30,7 +30,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import dataclasses
-import os
 import signal
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -339,6 +338,9 @@ class ExperimentService:
             self._metrics_server.close()
             with contextlib.suppress(Exception):
                 await self._metrics_server.wait_closed()
+        # Warm workers go before the journal: none may outlive the
+        # incarnation that forked it.
+        self.runner.close()
         self._journal_meta("service-stop")
         self._emit(tel.ServiceStopped(
             accepted=self.counters["accepted"],
@@ -731,12 +733,11 @@ class ExperimentService:
             self._gauge()
             return {"ok": True, "op": "cancel", "cancelled": True,
                     **job.snapshot()}
-        # Running: flag it and kill the worker; the crash path converts
-        # the flag into a CANCELLED terminal state instead of a requeue.
+        # Running: flag it and kill its worker (by job, never by pid: a
+        # warm worker outlives its jobs); the crash path converts the
+        # flag into a CANCELLED terminal state instead of a requeue.
         job.cancel_requested = True
-        if job.pid:
-            with contextlib.suppress(OSError):
-                os.kill(job.pid, signal.SIGKILL)
+        self.runner.kill(job.id)
         return {"ok": True, "op": "cancel", "cancelled": True,
                 "pending": True, **job.snapshot()}
 

@@ -1,13 +1,16 @@
-"""Killable per-job workers driving the harness execution core.
+"""Warm killable workers driving the harness execution core.
 
-Each job runs in a *fresh* child process via
-:func:`repro.harness.executor.run_spec_subprocess` — unlike a shared
-``ProcessPoolExecutor`` worker, a fresh process can be killed on
-timeout without collateral damage, and its death is attributable to
-exactly one job (which is what makes redelivery counting and poison
-quarantine sound).
+Each busy slot holds one warm child process — a
+:class:`repro.harness.executor.SpecWorker`, forked lazily the first time
+the slot needs one — and reuses it across jobs, one job at a time.
+Unlike a shared ``ProcessPoolExecutor`` worker, the child can be killed
+on timeout or cancel without collateral damage, and because it only ever
+holds one job its death is attributable to exactly that job (which is
+what makes redelivery counting and poison quarantine sound).  A worker
+is retired, never reused, after any outcome but ``ok``: crash, timeout
+or spec error.
 
-Inside the child the spec goes through a one-shot
+Inside the child each spec goes through a one-shot
 :class:`~repro.harness.executor.BatchExecutor` with the service's
 :class:`~repro.harness.cache.ResultCache` attached: cache-first lookup,
 execution, and the locked ledger append all happen on the worker side,
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.errors import WorkerCrashed, WorkerTimeout
-from repro.harness.executor import run_spec_subprocess
+from repro.harness.executor import SpecWorker
 from repro.service.protocol import Spec
 
 
@@ -48,11 +51,13 @@ class WorkerOutcome:
 
 
 class WorkerRunner:
-    """Synchronous single-job runner with an in-flight pid registry.
+    """Synchronous single-job runner over warm workers.
 
     The server calls :meth:`run` from executor threads (one per busy
-    slot); chaos tests and the ``stats`` op read :meth:`active_pids` to
-    find live worker processes to observe — or kill.
+    slot); each call takes an idle warm worker or forks one.  The
+    in-flight registry maps job ids to the workers serving them: the
+    ``stats`` op and chaos tests read :meth:`active_pids`, and a cancel
+    goes through :meth:`kill`, which can only hit the job it names.
     """
 
     def __init__(
@@ -63,54 +68,80 @@ class WorkerRunner:
         entry: Optional[Callable] = None,
     ) -> None:
         self.timeout_s = timeout_s
-        self.cache_root = cache_root
+        if entry is None:
+            entry = functools.partial(_service_entry, cache_root=cache_root)
         self._entry = entry
         self._lock = threading.Lock()
-        self._pids: dict[str, int] = {}
+        self._idle: list[SpecWorker] = []
+        self._busy: dict[str, SpecWorker] = {}
+        self._closed = False
 
     def active_pids(self) -> dict[str, int]:
         with self._lock:
-            return dict(self._pids)
+            return {job_id: w.pid for job_id, w in self._busy.items()}
 
-    def _register(self, job_id: str, pid: int,
-                  notify: Optional[Callable[[int], None]]) -> None:
+    def kill(self, job_id: str) -> bool:
+        """SIGKILL the worker serving ``job_id``; False if it is not in flight.
+
+        The job's :meth:`run` then reports a crash and retires the worker.
+        """
         with self._lock:
-            self._pids[job_id] = pid
-        if notify is not None:
-            notify(pid)
+            worker = self._busy.pop(job_id, None)
+        if worker is None:
+            return False
+        worker.kill()
+        return True
+
+    def close(self) -> None:
+        """Retire every warm worker; kill the busy ones."""
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+            busy = list(self._busy.values())
+        for worker in busy:
+            worker.kill()
+        for worker in idle:
+            worker.close()
+
+    def _checkout(self) -> SpecWorker:
+        with self._lock:
+            while self._idle:
+                worker = self._idle.pop()
+                if worker.is_alive():
+                    return worker
+                # Died while idle: not any job's fault, just replace it.
+                worker.close()
+        return SpecWorker(self._entry)
 
     def run(self, job_id: str, spec: Spec,
             *, on_start: Optional[Callable[[int], None]] = None
             ) -> WorkerOutcome:
-        """Execute ``spec`` in a fresh worker; never raises."""
-        entry = self._entry
-        if entry is None:
-            entry = functools.partial(_service_entry,
-                                      cache_root=self.cache_root)
-        pid_box = {"pid": 0}
-
-        def _on_start(pid: int) -> None:
-            pid_box["pid"] = pid
-            self._register(job_id, pid, on_start)
-
+        """Execute ``spec`` in a warm worker; never raises."""
+        outcome = WorkerOutcome(kind="crash")
+        worker: Optional[SpecWorker] = None
         try:
-            record = run_spec_subprocess(
-                spec,
-                timeout_s=self.timeout_s,
-                entry=entry,
-                on_start=_on_start,
-            )
-            return WorkerOutcome(record=record, kind="ok",
-                                 pid=pid_box["pid"])
-        except WorkerTimeout as exc:
-            return WorkerOutcome(kind="timeout", error=str(exc),
-                                 pid=pid_box["pid"])
-        except WorkerCrashed as exc:
-            return WorkerOutcome(kind="crash", error=str(exc),
-                                 pid=pid_box["pid"])
-        except Exception as exc:  # noqa: BLE001 - spec-level failure
-            return WorkerOutcome(kind="error", error=repr(exc),
-                                 pid=pid_box["pid"])
-        finally:
+            worker = self._checkout()
+            outcome.pid = worker.pid
             with self._lock:
-                self._pids.pop(job_id, None)
+                self._busy[job_id] = worker
+            if on_start is not None:
+                on_start(worker.pid)
+            outcome.record = worker.run(spec, timeout_s=self.timeout_s)
+            outcome.kind = "ok"
+        except WorkerTimeout as exc:
+            outcome.kind, outcome.error = "timeout", str(exc)
+        except WorkerCrashed as exc:
+            outcome.kind, outcome.error = "crash", str(exc)
+        except Exception as exc:  # noqa: BLE001 - spec-level failure
+            outcome.kind, outcome.error = "error", repr(exc)
+        finally:
+            if worker is not None:
+                with self._lock:
+                    # A killed worker was already dropped from the registry.
+                    keep = (self._busy.pop(job_id, None) is worker
+                            and outcome.kind == "ok" and not self._closed)
+                    if keep:
+                        self._idle.append(worker)
+                if not keep:
+                    worker.close()
+        return outcome

@@ -1,15 +1,17 @@
 """The determinism matrix: every execution path yields the same bits.
 
-One spec list is pushed through four harness configurations — serial,
-process-pooled, cache-hit replay, and validate-mode (checker attached) —
-and every path must produce records equal field-for-field to the serial
-reference.  ``MeasurementRecord`` equality is exact-float dataclass
-equality (host wall time excluded), so ``==`` is bit-identity of
-everything the simulation computed.
+One spec list is pushed through six execution paths — serial,
+process-pooled, cache-hit replay, validate-mode (checker attached), a
+one-job child (``run_spec_subprocess``) and a warm service worker that
+has already run other specs — and every path must produce records equal
+field-for-field to the serial reference.  ``MeasurementRecord``
+equality is exact-float dataclass equality (host wall time excluded),
+so ``==`` is bit-identity of everything the simulation computed.
 
 This is the harness-level face of the differential guarantee: the
-checker observes without perturbing, the pool without reordering, and
-the cache round-trips without loss.
+checker observes without perturbing, the pool without reordering, the
+cache round-trips without loss, and a reused worker carries nothing
+from one job into the next.
 """
 
 from __future__ import annotations
@@ -18,9 +20,14 @@ import pytest
 
 from repro.config import MeterConfig
 from repro.harness.cache import ResultCache
-from repro.harness.executor import BatchExecutor, execute_spec
+from repro.harness.executor import (
+    BatchExecutor,
+    execute_spec,
+    run_spec_subprocess,
+)
 from repro.harness.spec import RunSpec
 from repro.harness.telemetry import ListSink, RunCached, TelemetryBus
+from repro.service.workers import WorkerRunner
 
 pytestmark = pytest.mark.harness
 
@@ -80,6 +87,31 @@ def test_validate_mode_matches_reference(reference) -> None:
     for i in range(len(MATRIX_SPECS)):
         report = harness.validation_reports[i]
         assert report.ok and report.batteries > 0
+
+
+def _through_warm_worker(warmup, specs) -> list:
+    """Run ``warmup`` then ``specs`` through one warm service worker."""
+    runner = WorkerRunner()
+    try:
+        outcomes = [runner.run(f"w-{i}", spec)
+                    for i, spec in enumerate([warmup, *specs])]
+    finally:
+        runner.close()
+    assert [o.kind for o in outcomes] == ["ok"] * len(outcomes), outcomes
+    # One slot, one worker: each spec ran after others had in that process.
+    assert len({o.pid for o in outcomes}) == 1
+    return [o.record for o in outcomes[1:]]
+
+
+def test_subprocess_matches_reference(reference) -> None:
+    records = [run_spec_subprocess(spec)[0] for spec in MATRIX_SPECS]
+    assert records == reference
+
+
+def test_warm_service_worker_matches_reference(reference) -> None:
+    records = _through_warm_worker(RunSpec("reduction", scale=0.05),
+                                   MATRIX_SPECS)
+    assert records == reference
 
 
 # ----------------------------------------------------------------------
@@ -150,3 +182,10 @@ def test_cosched_validate_mode_matches_reference(cosched_reference) -> None:
             # Co-runs execute under the full invariant checker; sched
             # specs report through their budget auditors instead.
             assert report.batteries > 0
+
+
+def test_cosched_warm_service_worker_matches_reference(
+    cosched_reference
+) -> None:
+    records = _through_warm_worker(MATRIX_SPECS[0], COSCHED_MATRIX)
+    assert records == cosched_reference

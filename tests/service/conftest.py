@@ -50,6 +50,10 @@ def entry_crash(spec):
     os._exit(13)  # simulated OOM kill / hard worker crash
 
 
+def entry_pid(spec):
+    return os.getpid()  # which worker ran the job
+
+
 # ---------------------------------------------------------------- fixtures
 @pytest.fixture
 def make_service():

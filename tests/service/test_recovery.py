@@ -15,6 +15,8 @@ worker down with it, like a machine reset would):
 
 from __future__ import annotations
 
+import contextlib
+import json
 import os
 import re
 import signal
@@ -35,10 +37,10 @@ SLOW = RunSpec("mergesort", scale=2.0, seed=3)
 QUEUED = [RunSpec("reduction", scale=0.05, seed=s) for s in (4, 5)]
 
 
-def _start_service(tmp_path):
+def _start_service(tmp_path, workers: int = 1):
     argv = [
         sys.executable, "-m", "repro.cli", "serve",
-        "--port", "0", "--workers", "1", "--quiet",
+        "--port", "0", "--workers", str(workers), "--quiet",
         "--journal", str(tmp_path / "journal.jsonl"),
         "--cache-dir", str(tmp_path / "cache"),
         "--timeout", "120",
@@ -138,3 +140,57 @@ def test_crash_recovery_finishes_every_job_exactly_once(tmp_path):
     expected = {spec.digest for spec in FAST + [SLOW] + QUEUED}
     assert set(counts) == expected
     assert all(n == 1 for n in counts.values()), counts
+
+
+def _exited(pid: int) -> bool:
+    """True once ``pid`` is gone or a zombie awaiting its reaper."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state = fh.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return True
+    return state in ("Z", "X")
+
+
+def test_idle_workers_exit_when_only_the_service_is_killed(tmp_path):
+    """SIGKILL the service pid alone: its idle warm workers follow it.
+
+    No process group kill here, so nothing but the workers' own pipes
+    tells them their parent is gone; a worker that lingered would hold
+    the journal and refuse the next incarnation.
+    """
+    proc, port = _start_service(tmp_path, workers=2)
+    pids: set[int] = set()
+    try:
+        with ServiceClient(port=port, name="primary", timeout=120.0) as c:
+            # Two jobs in flight at once: both slots fork a worker.
+            jobs = [c.submit(spec)["job"] for spec in FAST]
+            for job in jobs:
+                assert c.result(job, timeout_s=120.0)["state"] == "done"
+            assert c.stats()["active"] == []  # both workers now idle
+        with open(tmp_path / "journal.jsonl") as fh:
+            for line in fh:
+                entry = json.loads(line)
+                if entry["ev"] == "started":
+                    pids.add(entry["pid"])
+        assert len(pids) == 2
+        assert not any(_exited(pid) for pid in pids)
+        os.kill(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=30)
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline and not all(map(_exited, pids)):
+            time.sleep(0.02)
+        assert all(map(_exited, pids)), pids
+    finally:
+        with contextlib.suppress(ProcessLookupError, PermissionError):
+            os.killpg(proc.pid, signal.SIGKILL)  # leftovers, if it failed
+        proc.wait(timeout=30)
+
+    proc, port = _start_service(tmp_path)  # the same journal opens again
+    try:
+        with ServiceClient(port=port, name="after", timeout=60.0) as c:
+            assert c.ping()["ok"]
+            again = c.submit(FAST[0])
+            assert again["ok"] and again["state"] == "done"  # from the store
+    finally:
+        _killpg(proc)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import os
 import socket
 import time
 
@@ -9,7 +11,7 @@ import pytest
 
 from repro.harness.cache import ResultCache
 from repro.harness.spec import RunSpec
-from repro.service.protocol import MAX_FRAME_BYTES
+from repro.service.protocol import MAX_FRAME_BYTES, encode_frame, spec_to_wire
 
 from tests.service.conftest import (
     entry_crash,
@@ -151,6 +153,39 @@ class TestFailureModes:
         assert client.result(running["job"], 30.0)["state"] == "done"
 
 
+    def test_cancel_running_job(self, make_service, make_client):
+        svc = make_service(entry_slow, workers=2)
+        client = make_client(svc)
+        doomed = client.submit(_spec(1))
+        kept = client.submit(_spec(2))
+        doomed_pid = _running_pid(client, doomed["job"])
+        kept_pid = _running_pid(client, kept["job"])
+        cancelled = client.cancel(doomed["job"])
+        assert cancelled["cancelled"] is True and cancelled["pending"]
+        assert client.result(doomed["job"], 30.0)["state"] == "cancelled"
+        assert client.result(kept["job"], 30.0)["state"] == "done"
+        assert svc.service.counters["cancelled"] == 1
+        # Both slots busy again: one takes the kept job's warm worker, the
+        # other a freshly forked one; the killed worker is never reused.
+        nxt = [client.submit(_spec(seed)) for seed in (3, 4)]
+        pids = {_running_pid(client, job["job"]) for job in nxt}
+        assert doomed_pid not in pids
+        assert len(pids - {kept_pid}) == 1
+        for job in nxt:
+            assert client.result(job["job"], 30.0)["state"] == "done"
+
+
+def _running_pid(client, job_id: str, timeout: float = 10.0) -> int:
+    """The worker pid a job reports while it runs."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        snap = client.status(job_id)
+        if snap["state"] == "running" and "pid" in snap:
+            return snap["pid"]
+        time.sleep(0.01)
+    raise AssertionError(f"job {job_id} never reported a running pid")
+
+
 class TestRealExecutionAndCache:
     def test_cache_hit_after_restart(self, make_service, make_client,
                                      tmp_path):
@@ -222,6 +257,23 @@ class TestWireRobustness:
             assert b"oversized" in error
             assert self._read_until_closed(sock) == b""  # server closed
 
+    def test_hang_up_reaches_a_client_connected_across_a_fork(
+            self, make_service):
+        # This connection is open while a warm worker forks; the worker
+        # must not keep the service's end of it alive after a hang-up.
+        svc = make_service(entry_ok)
+        with self._raw(svc) as sock:
+            sock.sendall(encode_frame(
+                {"op": "submit", "spec": spec_to_wire(_spec(1))}))
+            job = json.loads(self._read_line(sock))["job"]
+            sock.sendall(encode_frame(
+                {"op": "result", "job": job, "timeout_s": 30.0}))
+            assert json.loads(self._read_line(sock))["state"] == "done"
+            sock.sendall(b'{"op": "ping", "pad": "'
+                         + b"x" * (2 * MAX_FRAME_BYTES) + b'"}\n')
+            assert b"oversized" in self._read_line(sock)
+            assert self._read_until_closed(sock) == b""  # server closed
+
     def test_half_closed_connection(self, make_service):
         svc = make_service(entry_ok)
         with self._raw(svc) as sock:
@@ -268,6 +320,17 @@ class TestStreaming:
             if "JobFinished" in seen:
                 break
         assert {"JobAccepted", "JobFinished"} <= seen
+
+
+class TestWarmWorkers:
+    def test_stop_retires_warm_workers(self, make_service, make_client):
+        svc = make_service(entry_ok)
+        done = make_client(svc).submit_and_wait(_spec(1), timeout_s=30.0)
+        pid = svc.service.jobs[done["job"]].pid
+        os.kill(pid, 0)  # parked, warm, for the next job
+        svc.stop()
+        with pytest.raises(OSError):
+            os.kill(pid, 0)  # retired and reaped with the service
 
 
 class TestDrain:
