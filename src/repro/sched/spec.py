@@ -115,6 +115,17 @@ class SchedSpec(Spec):
             raise ConfigError(
                 f"budget must be finite and positive, got {self.budget_w!r}"
             )
+        # Likewise for the other reals: an int past the float range
+        # passes the comparisons below and overflows in the worker.
+        for name in ("scale", "rate_jobs_per_s", "period_s",
+                     "coordinator_period_s", "time_limit_s"):
+            value = getattr(self, name)
+            try:
+                float(value)
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigError(
+                    f"{name} must convert to a float, got {value!r}"
+                ) from None
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs!r}")
         if self.queue_depth < 1:

@@ -227,6 +227,9 @@ def spec_from_wire(wire: dict[str, Any]) -> Spec:
         raise ProtocolError(
             f"unknown {kind}-spec field(s): {', '.join(sorted(unknown))}"
         )
+    # describe() returns a set label as is; it must be text.
+    if not isinstance(fields.get("label", ""), str):
+        raise ProtocolError(f"{kind}-spec 'label' must be a string")
     fields = dict(fields)
     coerce = _COERCE.get(kind)
     if coerce is not None:

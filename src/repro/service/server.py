@@ -534,11 +534,7 @@ class ExperimentService:
                         job.id, job.spec, on_start=_on_start))
                 self.tracer.finish(span, outcome=outcome.kind)
                 if job.cancel_requested:
-                    job.error = "cancelled while running"
-                    self._journal("cancelled", job=job, reason="client")
-                    self._emit(tel.JobCancelled(job=job.id,
-                                                digest=job.digest))
-                    self._finalize(job, JobState.CANCELLED)
+                    self._end_cancelled(job, "cancelled while running")
                     return
                 if outcome.kind == "ok":
                     job.source = "executed"
@@ -594,6 +590,11 @@ class ExperimentService:
                         delay_s=delay, error=outcome.error,
                         reason=outcome.kind))
                     await asyncio.sleep(delay)
+                    if job.cancel_requested:
+                        # Nothing was in flight to kill; end it here
+                        # rather than run another attempt.
+                        self._end_cancelled(job, "cancelled while backing off")
+                        return
                     continue
                 if outcome.kind == "timeout":
                     # Dead-letter: the spec never fits its deadline.
@@ -726,10 +727,7 @@ class ExperimentService:
             return {"ok": True, "op": "cancel", "cancelled": False,
                     **job.snapshot()}
         if self.queue.remove(job):
-            job.error = "cancelled while queued"
-            self._journal("cancelled", job=job, reason="client")
-            self._emit(tel.JobCancelled(job=job.id, digest=job.digest))
-            self._finalize(job, JobState.CANCELLED)
+            self._end_cancelled(job, "cancelled while queued")
             self._gauge()
             return {"ok": True, "op": "cancel", "cancelled": True,
                     **job.snapshot()}
@@ -740,6 +738,13 @@ class ExperimentService:
         self.runner.kill(job.id)
         return {"ok": True, "op": "cancel", "cancelled": True,
                 "pending": True, **job.snapshot()}
+
+    def _end_cancelled(self, job: Job, error: str) -> None:
+        """Terminal state for a client's cancel."""
+        job.error = error
+        self._journal("cancelled", job=job, reason="client")
+        self._emit(tel.JobCancelled(job=job.id, digest=job.digest))
+        self._finalize(job, JobState.CANCELLED)
 
     def _stats(self) -> dict[str, Any]:
         active = [{"job": job_id, "pid": pid}

@@ -11,7 +11,9 @@ so ``==`` is bit-identity of everything the simulation computed.
 This is the harness-level face of the differential guarantee: the
 checker observes without perturbing, the pool without reordering, the
 cache round-trips without loss, and a reused worker carries nothing
-from one job into the next.
+from one job into the next.  Co-scheduling and scheduled specs ride the
+same paths, and so do segmented (checkpointable) scheduled specs, whose
+reference is the in-process ``run_segmented``.
 """
 
 from __future__ import annotations
@@ -189,3 +191,65 @@ def test_cosched_warm_service_worker_matches_reference(
 ) -> None:
     records = _through_warm_worker(MATRIX_SPECS[0], COSCHED_MATRIX)
     assert records == cosched_reference
+
+
+# ----------------------------------------------------------------------
+# the checkpoint-resume face of the matrix
+# ----------------------------------------------------------------------
+# A ``segment_jobs`` spec drains its cluster between segments, the
+# boundaries at which a checkpoint can be taken and resumed from
+# (tests/sched/test_checkpoint.py kills and resumes one).  Whatever path
+# runs it, the result must equal the in-process ``run_segmented``.
+from repro.sched import run_segmented  # noqa: E402
+
+SEGMENTED_MATRIX = (
+    SchedSpec(profile="poisson", policy="fcfs", nodes=2, budget_w=300.0,
+              jobs=5, seed=3, segment_jobs=2),
+    SchedSpec(profile="diurnal", policy="bestfit", nodes=4, budget_w=400.0,
+              jobs=48, rate_jobs_per_s=0.05, time_limit_s=100000.0, seed=9,
+              execution="analytic", segment_jobs=16),
+)
+
+
+@pytest.fixture(scope="module")
+def segmented_reference() -> list:
+    return [run_segmented(spec) for spec in SEGMENTED_MATRIX]
+
+
+def test_segmented_serial_matches_reference(segmented_reference) -> None:
+    records = BatchExecutor(workers=1).run(
+        list(SEGMENTED_MATRIX), sweep="sm-serial"
+    )
+    assert records == segmented_reference
+
+
+def test_segmented_parallel_pool_matches_reference(
+    segmented_reference
+) -> None:
+    records = BatchExecutor(workers=2).run(
+        list(SEGMENTED_MATRIX), sweep="sm-pool"
+    )
+    assert records == segmented_reference
+
+
+def test_segmented_cache_round_trip_matches_reference(
+    tmp_path, segmented_reference
+) -> None:
+    cache = ResultCache(root=tmp_path)
+    first = BatchExecutor(cache=cache).run(
+        list(SEGMENTED_MATRIX), sweep="sm-warm"
+    )
+    assert first == segmented_reference
+    sink = ListSink()
+    second = BatchExecutor(cache=cache, bus=TelemetryBus([sink])).run(
+        list(SEGMENTED_MATRIX), sweep="sm-hit"
+    )
+    assert len(sink.of_type(RunCached)) == len(SEGMENTED_MATRIX)
+    assert second == segmented_reference
+
+
+def test_segmented_warm_service_worker_matches_reference(
+    segmented_reference
+) -> None:
+    records = _through_warm_worker(MATRIX_SPECS[0], SEGMENTED_MATRIX)
+    assert records == segmented_reference

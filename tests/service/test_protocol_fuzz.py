@@ -95,6 +95,8 @@ def test_validate_request_raises_only_protocol_errors(frame):
 # int(Infinity) in the predictor payload: OverflowError.
 @example({"kind": "sched", "fields": {"predictor": {
     "entries": [], "base_threads": float("inf"), "schema": ""}}})
+# A non-string label: describe() returned it as is.
+@example({"kind": "cosched", "fields": {"label": 1}})
 def test_spec_from_wire_raises_only_protocol_errors(wire):
     try:
         spec = spec_from_wire(wire)
@@ -102,3 +104,21 @@ def test_spec_from_wire_raises_only_protocol_errors(wire):
         return
     # What decodes is a spec the server can digest and describe.
     assert isinstance(spec.digest, str) and isinstance(spec.describe(), str)
+
+
+_SCHED_REALS = ("budget_w", "scale", "rate_jobs_per_s", "period_s",
+                "coordinator_period_s", "time_limit_s")
+
+
+@FUZZ
+@given(st.sampled_from(_SCHED_REALS),
+       st.integers(min_value=2 ** 1024, max_value=10 ** 500))
+# Each took an int past the float range and overflowed in the worker.
+@example("scale", _BIG)
+@example("rate_jobs_per_s", _BIG)
+@example("period_s", _BIG)
+@example("coordinator_period_s", _BIG)
+@example("time_limit_s", _BIG)
+def test_sched_reals_past_the_float_range_are_refused(name, value):
+    with pytest.raises(ProtocolError):
+        spec_from_wire({"kind": "sched", "fields": {name: value}})

@@ -11,6 +11,7 @@ import pytest
 
 from repro.harness.cache import ResultCache
 from repro.harness.spec import RunSpec
+from repro.harness.telemetry import JobRetried, JobStarted, ListSink
 from repro.service.protocol import MAX_FRAME_BYTES, encode_frame, spec_to_wire
 
 from tests.service.conftest import (
@@ -152,6 +153,23 @@ class TestFailureModes:
         assert client.result(queued["job"], 30.0)["state"] == "cancelled"
         assert client.result(running["job"], 30.0)["state"] == "done"
 
+
+    def test_cancel_during_retry_backoff(self, make_service, make_client):
+        svc = make_service(entry_fail, retries=1, backoff_base_s=1.5,
+                           backoff_max_s=1.5)
+        sink = svc.service.bus.subscribe(ListSink())
+        client = make_client(svc)
+        job = client.submit(_spec(1))["job"]
+        deadline = time.monotonic() + 10.0
+        while not sink.of_type(JobRetried):  # first attempt failed
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        assert client.cancel(job)["cancelled"] is True
+        done = client.result(job, 30.0)
+        assert done["state"] == "cancelled"
+        assert done["attempts"] == 1
+        assert done["error"] == "cancelled while backing off"
+        assert [e.attempt for e in sink.of_type(JobStarted)] == [1]
 
     def test_cancel_running_job(self, make_service, make_client):
         svc = make_service(entry_slow, workers=2)
