@@ -18,7 +18,7 @@ from typing import Any, Generator
 
 from repro.calibration.profiles import WorkloadProfile
 from repro.kernels.alignment import align_pair, random_sequences
-from repro.openmp import OmpEnv, omp_single, parallel_for
+from repro.openmp import OmpEnv, parallel_for
 from repro.qthreads.api import RegionBoundary, Spawn, Taskwait
 
 #: Number of sequences; tasks = n(n-1)/2 pairs.
@@ -71,7 +71,8 @@ def build(
             )
             return sum(partials)
         if variant == "single":
-            total = yield from omp_single(_spawn_all(pair_task, pairs))
+            # ``#pragma omp single``: the encountering task generates all.
+            total = yield from _spawn_all(pair_task, pairs)
             return total
         raise ValueError(f"unknown alignment variant {variant!r}")
 

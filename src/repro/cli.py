@@ -176,20 +176,48 @@ def _fault_spec(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.harness import RunSpec, execute_spec
+def _add_run_spec_args(parser: argparse.ArgumentParser) -> None:
+    """The RunSpec flags shared by ``run`` and ``submit``."""
+    parser.add_argument("app", choices=sorted(APP_REGISTRY))
+    parser.add_argument("--compiler", default="gcc",
+                        choices=["gcc", "icc", "maestro"])
+    parser.add_argument("--optlevel", default="O2",
+                        choices=["O0", "O1", "O2", "O3"])
+    parser.add_argument("--threads", type=int, default=16)
+    parser.add_argument("--throttle", action="store_true",
+                        help="enable MAESTRO dynamic concurrency throttling")
+    parser.add_argument("--payload", action="store_true",
+                        help="run the real algorithm payloads in leaf tasks")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--faults", default=None, metavar="SPEC", type=_fault_spec,
+        help="inject sensor-path faults: a profile name (e.g. 'default', "
+             "'flaky-msr', 'stall') and/or comma-separated field=value "
+             "overrides (see repro.faults)",
+    )
 
-    spec = RunSpec(
+
+def _run_spec(args: argparse.Namespace, scale: float = 1.0) -> "RunSpec":
+    """The RunSpec that :func:`_add_run_spec_args`' flags describe."""
+    from repro.harness import RunSpec
+
+    return RunSpec(
         args.app,
         compiler=args.compiler,
         optlevel=args.optlevel,
         threads=args.threads,
         throttle=args.throttle,
         payload=args.payload,
+        scale=scale,
         seed=args.seed,
         faults=args.faults,  # parsed by argparse (_fault_spec)
     )
-    record = execute_spec(spec)
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.harness import execute_spec
+
+    record = execute_spec(_run_spec(args))
     print(record.region)
     run = record.run
     print(
@@ -248,9 +276,13 @@ def _cmd_metersweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_sched(args: argparse.Namespace) -> int:
+    from repro.errors import ConfigError
     from repro.sched import SchedSpec
     from repro.harness.telemetry import SchedProgressSink
 
+    if args.checkpoint_dir is not None and not args.segment_jobs:
+        # Only a segmented run checkpoints; refuse rather than write nothing.
+        raise ConfigError("--checkpoint-dir requires --segment-jobs")
     spec = SchedSpec(
         profile=args.profile,
         policy=args.policy,
@@ -557,20 +589,9 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     import json
 
     from repro.errors import ServiceError
-    from repro.harness import RunSpec
     from repro.service.client import ServiceClient
 
-    spec = RunSpec(
-        args.app,
-        compiler=args.compiler,
-        optlevel=args.optlevel,
-        threads=args.threads,
-        throttle=args.throttle,
-        payload=args.payload,
-        scale=args.scale,
-        seed=args.seed,
-        faults=args.faults,
-    )
+    spec = _run_spec(args, scale=args.scale)
     try:
         with ServiceClient(host=args.host, port=args.port,
                            name=args.client) as client:
@@ -633,21 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list benchmark applications").set_defaults(func=_cmd_list)
 
     run_p = sub.add_parser("run", help="run one application with measurement")
-    run_p.add_argument("app", choices=sorted(APP_REGISTRY))
-    run_p.add_argument("--compiler", default="gcc", choices=["gcc", "icc", "maestro"])
-    run_p.add_argument("--optlevel", default="O2", choices=["O0", "O1", "O2", "O3"])
-    run_p.add_argument("--threads", type=int, default=16)
-    run_p.add_argument("--throttle", action="store_true",
-                       help="enable MAESTRO dynamic concurrency throttling")
-    run_p.add_argument("--payload", action="store_true",
-                       help="run the real algorithm payloads in leaf tasks")
-    run_p.add_argument("--seed", type=int, default=0)
-    run_p.add_argument(
-        "--faults", default=None, metavar="SPEC", type=_fault_spec,
-        help="inject sensor-path faults: a profile name (e.g. 'default', "
-             "'flaky-msr', 'stall') and/or comma-separated field=value "
-             "overrides (see repro.faults)",
-    )
+    _add_run_spec_args(run_p)
     run_p.set_defaults(func=_cmd_run)
 
     fs_p = sub.add_parser(
@@ -919,18 +926,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     submit_p = sub.add_parser(
         "submit", help="submit one run spec to a running service")
-    submit_p.add_argument("app", choices=sorted(APP_REGISTRY))
-    submit_p.add_argument("--compiler", default="gcc",
-                          choices=["gcc", "icc", "maestro"])
-    submit_p.add_argument("--optlevel", default="O2",
-                          choices=["O0", "O1", "O2", "O3"])
-    submit_p.add_argument("--threads", type=int, default=16)
-    submit_p.add_argument("--throttle", action="store_true")
-    submit_p.add_argument("--payload", action="store_true")
+    _add_run_spec_args(submit_p)
     submit_p.add_argument("--scale", type=float, default=1.0)
-    submit_p.add_argument("--seed", type=int, default=0)
-    submit_p.add_argument("--faults", default=None, metavar="SPEC",
-                          type=_fault_spec)
     submit_p.add_argument("--host", default="127.0.0.1")
     submit_p.add_argument("--port", type=int, default=7823)
     submit_p.add_argument("--client", default="cli",

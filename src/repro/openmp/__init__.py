@@ -3,10 +3,11 @@
 In the paper's stack, OpenMP programs are compiled by the ROSE
 source-to-source compiler whose XOMP interface maps directives onto
 Qthreads: explicit tasks and chunks of loop iterations become qthreads
-(Section III).  This package is the same layer in Python: applications are
-written against OpenMP-shaped constructs (``parallel_for``, ``omp_task``,
-``taskwait``, reductions, parallel regions), which expand into the task
-operations of :mod:`repro.qthreads.api`.
+(Section III).  This package is the same layer in Python: applications
+use its constructs (``parallel_for``, ``parallel_reduce``,
+``parallel_region``) for worksharing, and yield the task operations of
+:mod:`repro.qthreads.api` directly for explicit tasks (``Spawn`` is
+``#pragma omp task``, ``Taskwait`` is ``#pragma omp taskwait``).
 
 All constructs are generators meant to be driven with ``yield from``
 inside a task body::
@@ -21,13 +22,9 @@ from repro.openmp.env import OmpEnv
 from repro.openmp.loops import parallel_for, static_chunks
 from repro.openmp.reduction import parallel_reduce
 from repro.openmp.region import parallel_region
-from repro.openmp.tasks import omp_single, omp_task, omp_taskwait
 
 __all__ = [
     "OmpEnv",
-    "omp_single",
-    "omp_task",
-    "omp_taskwait",
     "parallel_for",
     "parallel_reduce",
     "parallel_region",

@@ -4,16 +4,17 @@ Spawns one implicit task per team member, each running
 ``thread_body(tid)``, then joins at the implicit barrier and signals the
 region boundary (a spin-exit condition for throttled workers).
 
-Most of the paper's applications use worksharing loops or explicit tasks,
-which go through :mod:`repro.openmp.loops` and :mod:`repro.openmp.tasks`;
-``parallel_region`` exists for the SPMD-style codes (and the LULESH main
-loop) that open a team once and synchronise with barriers inside.
+The paper's applications use worksharing loops (:mod:`repro.openmp.loops`)
+or explicit tasks (the :mod:`repro.qthreads.api` operations);
+``parallel_region`` is the construct for SPMD-style code that opens a team
+once and synchronises inside it.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Generator
 
+from repro.errors import ConfigError
 from repro.openmp.env import OmpEnv
 from repro.qthreads.api import RegionBoundary, Spawn, TaskGen, Taskwait
 
@@ -32,7 +33,7 @@ def parallel_region(
     """
     team = num_threads if num_threads is not None else env.num_threads
     if team <= 0:
-        raise ValueError(f"team size must be positive, got {team!r}")
+        raise ConfigError(f"team size must be positive, got {team!r}")
     handles = []
     for tid in range(team):
         handle = yield Spawn(thread_body(tid), label=f"{label}#{tid}")

@@ -157,6 +157,7 @@ class ExperimentService:
         self.jobs: dict[str, Job] = {}
         self._by_digest: dict[str, Job] = {}  # latest job per digest
         self._done: dict[str, asyncio.Event] = {}
+        self._backoff: dict[str, asyncio.Event] = {}  # retry delays; cancel sets
         self._streams: dict[int, asyncio.Queue] = {}
         self._stream_seq = 0
         self._seq = 1
@@ -589,7 +590,10 @@ class ExperimentService:
                         job=job.id, digest=job.digest, attempt=job.attempts,
                         delay_s=delay, error=outcome.error,
                         reason=outcome.kind))
-                    await asyncio.sleep(delay)
+                    wake = self._backoff[job.id] = asyncio.Event()
+                    with contextlib.suppress(asyncio.TimeoutError):
+                        await asyncio.wait_for(wake.wait(), delay)
+                    del self._backoff[job.id]
                     if job.cancel_requested:
                         # Nothing was in flight to kill; end it here
                         # rather than run another attempt.
@@ -736,6 +740,9 @@ class ExperimentService:
         # flag into a CANCELLED terminal state instead of a requeue.
         job.cancel_requested = True
         self.runner.kill(job.id)
+        backoff = self._backoff.get(job.id)
+        if backoff is not None:  # between attempts: end the delay now
+            backoff.set()
         return {"ok": True, "op": "cancel", "cancelled": True,
                 "pending": True, **job.snapshot()}
 

@@ -1,4 +1,4 @@
-"""OpenMP layer: loops, reductions, regions, tasks, XOMP veneer."""
+"""OpenMP layer: the env, worksharing loops, reductions and parallel regions."""
 
 import operator
 
@@ -7,23 +7,13 @@ import pytest
 from repro.errors import ConfigError
 from repro.openmp import (
     OmpEnv,
-    omp_single,
-    omp_task,
-    omp_taskwait,
     parallel_for,
     parallel_reduce,
     parallel_region,
     static_chunks,
 )
 from repro.openmp.loops import loop_chunk_count
-from repro.openmp.xomp import (
-    XOMP_barrier,
-    XOMP_loop_default,
-    XOMP_parallel_start,
-    XOMP_task,
-    XOMP_taskwait,
-)
-from repro.qthreads import Spawn, Taskwait, Work
+from repro.qthreads import Work
 from tests.conftest import make_runtime
 
 
@@ -188,88 +178,16 @@ def test_parallel_region_num_threads_clause():
     assert rt.run(program()).result == [0, 1, 2]
 
 
-# ------------------------------------------------------------------ tasks
-def test_omp_task_and_taskwait_sugar():
-    rt = make_runtime(4)
+def test_parallel_region_rejects_empty_team():
+    rt = make_runtime(2)
+    env = OmpEnv(num_threads=2)
 
-    def child():
-        yield Work(1e-4)
-        return 7
-
-    def program():
-        h = yield omp_task(child())
-        yield omp_taskwait()
-        return h.result
-
-    assert rt.run(program()).result == 7
-
-
-def test_omp_single_inlines():
-    rt = make_runtime(4)
-
-    def body():
-        yield Work(1e-4)
-        return "single"
-
-    def program():
-        result = yield from omp_single(body())
-        return result
-
-    assert rt.run(program()).result == "single"
-
-
-# ------------------------------------------------------------------- xomp
-def test_xomp_parallel_start():
-    rt = make_runtime(4)
-    env = OmpEnv(num_threads=4)
-
-    def outlined(tid):
+    def member(tid):
         yield Work(1e-4)
         return tid
 
     def program():
-        results = yield from XOMP_parallel_start(env, outlined)
-        return sum(results)
+        yield from parallel_region(env, member, num_threads=0)
 
-    assert rt.run(program()).result == 0 + 1 + 2 + 3
-
-
-def test_xomp_loop_default():
-    rt = make_runtime(4)
-    env = OmpEnv(num_threads=4)
-
-    def program():
-        parts = yield from XOMP_loop_default(env, 0, 64, _sum_body)
-        return sum(parts)
-
-    assert rt.run(program()).result == sum(range(64))
-
-
-def test_xomp_task_if_clause_false_is_undeferred():
-    rt = make_runtime(4)
-    order = []
-
-    def child():
-        yield Work(1e-4)
-        order.append("child")
-        return 3
-
-    def program():
-        value = yield from XOMP_task(child(), if_clause=False)
-        order.append("after")
-        yield XOMP_taskwait()
-        return value
-
-    assert rt.run(program()).result == 3
-    assert order == ["child", "after"]  # inline execution, by the spec
-
-
-def test_xomp_barrier_yields_boundary():
-    rt = make_runtime(2)
-
-    def program():
-        yield Work(1e-4)
-        yield XOMP_barrier()
-        return "ok"
-
-    assert rt.run(program()).result == "ok"
+    with pytest.raises(ConfigError):
+        rt.run(program())

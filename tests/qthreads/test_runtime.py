@@ -162,6 +162,51 @@ def test_febwritef_overwrites():
     assert rt.run(program()).result == "b"
 
 
+
+def test_febwritef_wakes_blocked_reader():
+    rt = make_runtime(2)
+    gate = Feb(name="gate")
+
+    def waiter():
+        value = yield FebReadFF(gate)  # parks: the word starts empty
+        return value
+
+    def program():
+        handle = yield Spawn(waiter())
+        yield Work(0.005)
+        yield FebWriteF(gate, 42)
+        yield Taskwait()
+        return handle.result
+
+    assert rt.run(program()).result == 42
+
+
+def test_feb_pipeline_preserves_order():
+    """One slot, written EF and consumed FE, hands values over in order."""
+    rt = make_runtime(4)
+    slot = Feb(name="slot")
+    consumed = []
+
+    def producer():
+        for i in range(5):
+            yield FebWriteEF(slot, i)
+        return None
+
+    def consumer():
+        for _ in range(5):
+            value = yield FebReadFE(slot)
+            consumed.append(value)
+        return len(consumed)
+
+    def program():
+        yield Spawn(producer())
+        handle = yield Spawn(consumer())
+        yield Taskwait()
+        return handle.result
+
+    assert rt.run(program()).result == 5
+    assert consumed == [0, 1, 2, 3, 4]
+
 def test_deadlock_detection():
     rt = make_runtime(2)
     feb = Feb(name="never-filled")

@@ -171,6 +171,22 @@ class TestFailureModes:
         assert done["error"] == "cancelled while backing off"
         assert [e.attempt for e in sink.of_type(JobStarted)] == [1]
 
+    def test_cancel_wakes_retry_backoff(self, make_service, make_client):
+        svc = make_service(entry_fail, retries=1, backoff_base_s=30.0,
+                           backoff_max_s=30.0)
+        sink = svc.service.bus.subscribe(ListSink())
+        client = make_client(svc)
+        job = client.submit(_spec(1))["job"]
+        deadline = time.monotonic() + 10.0
+        while not sink.of_type(JobRetried):  # now in a 30 s backoff
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        assert client.cancel(job)["cancelled"] is True
+        done = client.result(job, 5.0)
+        assert done["state"] == "cancelled"
+        assert done["attempts"] == 1
+        assert done["error"] == "cancelled while backing off"
+
     def test_cancel_running_job(self, make_service, make_client):
         svc = make_service(entry_slow, workers=2)
         client = make_client(svc)

@@ -44,8 +44,9 @@ def test_cli_rejects_unknown_app():
     ["metersweep", "--periods", "0.1,abc", "--quiet"],
     ["coschedsweep", "--levels", "x", "--quiet"],
     ["throttle", "nqueens", "--quiet"],
+    ["sched", "--checkpoint-dir", "ckpt", "--quiet"],
 ], ids=["faultsweep-app", "sensitivity-app", "metersweep-periods",
-        "coschedsweep-levels", "throttle-app"])
+        "coschedsweep-levels", "throttle-app", "sched-checkpoint-unsegmented"])
 def test_cli_bad_input_exits_2_without_traceback(argv, capsys):
     """Bad input is a usage or ``ReproError`` exit 2, never a traceback."""
     try:

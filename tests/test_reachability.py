@@ -23,9 +23,8 @@ ALLOWED = {
     "repro.service.smoke": "run by `make serve-smoke`",
     "repro.service.testing": "in-thread service helper for the tests",
     "repro.analysis.timeline": "used by examples/timeline_trace.py",
-    "repro.measure.attribution": "paper-shaped veneer, pending ROADMAP item 5",
-    "repro.openmp.xomp": "paper-shaped veneer, pending ROADMAP item 5",
-    "repro.qthreads.qapi": "paper-shaped veneer, pending ROADMAP item 5",
+    "repro.measure.attribution": "used by examples/energy_attribution.py; "
+                                 "ROADMAP item 10 decides it",
 }
 
 
