@@ -158,7 +158,7 @@ class PredictorModel:
     def entry(self, app: str, threads: int) -> Optional[PredictorEntry]:
         return self._by_key.get((app, threads))
 
-    def _resolve(self, app: str, threads: int) -> PredictorEntry:
+    def resolve(self, app: str, threads: int) -> PredictorEntry:
         """Entry for (app, threads), falling back to the roofline model.
 
         Unprofiled apps get closed-form solo costs and the default
@@ -183,17 +183,17 @@ class PredictorModel:
     def predict_slowdown(self, app: str, threads: int,
                          pressure: float = 0.0) -> float:
         """Predicted slowdown under ``pressure`` (1.0 = solo)."""
-        entry = self._resolve(app, threads)
+        entry = self.resolve(app, threads)
         return 1.0 + entry.sens_slope * max(0.0, pressure)
 
     def predict_time_s(self, app: str, threads: int, scale: float,
                        pressure: float = 0.0) -> float:
-        entry = self._resolve(app, threads)
+        entry = self.resolve(app, threads)
         return (entry.unit_time_s * scale
                 * self.predict_slowdown(app, threads, pressure))
 
     def predict_watts(self, app: str, threads: int) -> float:
-        return self._resolve(app, threads).watts
+        return self.resolve(app, threads).watts
 
     def predict_energy_j(self, app: str, threads: int, scale: float,
                          pressure: float = 0.0) -> float:
@@ -207,16 +207,16 @@ class PredictorModel:
         Bit for bit ``predict_watts(...) * t * t`` with
         ``t = predict_time_s(...)``, from one entry lookup.
         """
-        entry = self._resolve(app, threads)
+        entry = self.resolve(app, threads)
         t = (entry.unit_time_s * scale
              * (1.0 + entry.sens_slope * max(0.0, pressure)))
         return entry.watts * t * t
 
     def intensity_of(self, app: str, threads: int) -> float:
-        return self._resolve(app, threads).intensity
+        return self.resolve(app, threads).intensity
 
     def sensitivity_of(self, app: str, threads: int) -> float:
-        return self._resolve(app, threads).sens_slope
+        return self.resolve(app, threads).sens_slope
 
     # ------------------------------------------------------------------
     # identity / persistence

@@ -12,7 +12,9 @@ whole observability path in a few seconds against throwaway state:
 3. render ``repro obs report`` output from the live frame;
 4. run a tiny scheduled campaign with a sim-time tracer and JSON-load
    the Chrome trace it writes;
-5. audit every snapshot with :func:`repro.validate.obs.check_snapshot`.
+5. run a small segmented analytic campaign under a registry and check
+   its sched counters match the result's placed and shed counts;
+6. audit every snapshot with :func:`repro.validate.obs.check_snapshot`.
 
 Exit code 0 and a single ``obs smoke OK`` line on success; any violated
 invariant raises.
@@ -100,8 +102,25 @@ def run_smoke(root: Path) -> str:
     assert len(xs) == 5 and all(e["dur"] > 0 for e in xs)
     _assert_no_violations(registry.snapshot(), "sched snapshot")
 
+    # -- analytic leg: counters folded once per segment, not per job --
+    registry = MetricsRegistry()
+    tracer = SpanRecorder(clock=lambda: 0.0)
+    spec = SchedSpec(policy="predicted", nodes=2, jobs=40, queue_depth=2,
+                     rate_jobs_per_s=0.2, execution="analytic",
+                     segment_jobs=16, seed=3)
+    result = spec.execute(registry=registry, tracer=tracer)
+    assert result.completed > 0 and result.rejected_count > 0, result
+    analytic = registry.snapshot()
+    dispatched = analytic.instruments["sched_jobs_dispatched_total"].series
+    shed = analytic.instruments["sched_jobs_shed_total"].series
+    assert dispatched == {("predicted",): float(result.completed)}, dispatched
+    assert shed == {(): float(result.rejected_count)}, shed
+    assert len(tracer.spans) == result.stats.segments == 3, tracer.spans
+    _assert_no_violations(analytic, "analytic sched snapshot")
+
     return (f"obs smoke OK ({n_series} exposition series, "
-            f"1 cache hit observed, {events} sched spans traced)")
+            f"1 cache hit observed, {events} sched spans traced, "
+            f"{result.completed} analytic jobs counted)")
 
 
 def main() -> int:

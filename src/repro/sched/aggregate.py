@@ -130,22 +130,39 @@ class SchedAccumulator:
         """Register a node so idle nodes still appear with count 0."""
         self.jobs_per_node.setdefault(name, 0)
 
-    def add_job(self, record: "JobRecord") -> None:
-        wait = record.wait_s
-        slowdown = record.slowdown
+    def add(
+        self,
+        node: str,
+        submit_s: float,
+        start_s: float,
+        finish_s: float,
+        time_s: float,
+        energy_j: float,
+    ) -> None:
+        """Fold one finished job, given as the scalars of its record.
+
+        Wait and slowdown use :class:`~repro.sched.result.JobRecord`'s
+        ``wait_s`` and ``slowdown`` expressions, so folding the scalars
+        and folding the record leave bit-identical state; the analytic
+        loop calls this without building a record at all.
+        """
+        wait = start_s - submit_s
+        slowdown = 1.0 if time_s <= 0 else (finish_s - submit_s) / time_s
         self.completed += 1
-        self.energy_sum_j += record.energy_j
+        self.energy_sum_j += energy_j
         self.wait_sum_s += wait
         self.slowdown_sum += slowdown
-        self.service_sum_s += record.time_s
-        if record.finish_s > self.makespan_s:
-            self.makespan_s = record.finish_s
-        self.jobs_per_node[record.node] = (
-            self.jobs_per_node.get(record.node, 0) + 1
-        )
+        self.service_sum_s += time_s
+        if finish_s > self.makespan_s:
+            self.makespan_s = finish_s
+        self.jobs_per_node[node] = self.jobs_per_node.get(node, 0) + 1
         self.wait_sketch.add(wait)
         self.slowdown_sketch.add(slowdown)
-        self.energy_sketch.add(record.energy_j)
+        self.energy_sketch.add(energy_j)
+
+    def add_job(self, record: "JobRecord") -> None:
+        self.add(record.node, record.submit_s, record.start_s,
+                 record.finish_s, record.time_s, record.energy_j)
 
     def add_rejection(self, index: int) -> None:
         self.rejected_count += 1

@@ -9,10 +9,12 @@ job costs a couple of heap operations instead of a full qthreads
 runtime, RCR daemon and power-clamp microsimulation.  Measured by the
 ``sched-campaign`` benchmark on a 2-core x86 host (reference-speed
 seconds): the full tournament pays ~0.1 s per job, the 200k-job
-analytic trace ~26 µs per job (5.2 s; it was ~41 µs, 8.1 s, before
-the dispatch loop kept one view per node) — i.e. between "a
-million-job trace is a day" and "a million-job trace is half a
-minute".
+analytic trace ~18 µs per job (3.6 s; it was ~26 µs, 5.2 s, while
+each job still built a record and a scaled roofline point and every
+select repeated its predictor lookups, and ~41 µs, 8.1 s, before the
+dispatch loop kept one view per node) — i.e. between "a
+million-job trace is a day" and "a million-job trace is under twenty
+seconds".
 
 What the analytic mode deliberately does not model: the power clamp
 (jobs run unthrottled at their roofline wattage), the coordinator's
@@ -28,6 +30,13 @@ stays O(nodes + queue)) against a finish-time heap — with a fixed
 deterministic tie rule (finishes before arrivals at equal times).
 Segmentation carries ``(clock, accumulator, records)`` exactly like the
 full path, so checkpoint/resume identity holds here too.
+
+Per job the loop builds nothing it throws away: a finished job folds
+into the accumulator as scalars (a :class:`~repro.sched.result.JobRecord`
+exists only when the spec retains jobs), and pricing reads the cached
+unit point directly.  Observability follows the same rule: with a
+registry the sched counters are folded once per segment from the
+accumulator, and a tracer gets one sim-time span per segment.
 """
 
 from __future__ import annotations
@@ -44,8 +53,8 @@ from repro.sched.aggregate import SchedAccumulator
 from repro.sched.policy import ClusterState, NodeView, make_policy
 from repro.sched.queue import AdmissionQueue
 from repro.sched.result import JobRecord, SchedResult
-from repro.sched.roofline import job_cost, roofline_envelope
-from repro.sched.workload import iter_trace
+from repro.sched.roofline import _paper_point, roofline_envelope
+from repro.sched.workload import Job, iter_trace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sched.spec import SchedSpec
@@ -64,6 +73,8 @@ class AnalyticSim:
         clock_s: float = 0.0,
         accumulator: Optional[SchedAccumulator] = None,
         records: Optional[list[JobRecord]] = None,
+        registry=None,
+        tracer=None,
     ) -> None:
         self.spec = spec
         self.bus = bus if bus is not None else TelemetryBus()
@@ -85,33 +96,49 @@ class AnalyticSim:
             accumulator if accumulator is not None else SchedAccumulator()
         )
         self.records: list[JobRecord] = records if records is not None else []
+        #: Optional duck-typed ``repro.obs`` hooks, touched once per
+        #: segment (never per job): the sched counters are folded from
+        #: the accumulator and the tracer gets one sim-time span.
+        self.tracer = tracer
+        self._counters = self._span = None
+        if registry is not None:
+            from repro.sched.cluster import sched_counters
+
+            self._counters = sched_counters(registry, spec.policy)
+        if tracer is not None:
+            self._span = tracer.start(
+                f"analytic:{spec.policy}", at=clock_s, track="sched",
+                start=start, jobs=limit)
         self.policy = make_policy(spec.policy, model=spec.predictor)
         self.queue = AdmissionQueue(spec.queue_depth)
         self.now = clock_s
         self._t0_sim = clock_s
-        names = [f"node{i}" for i in range(spec.nodes)]
+        self._names = [f"node{i}" for i in range(spec.nodes)]
         self._node_budget_w = spec.budget_w / spec.nodes
         #: The view an idle node shows policies: constant per node.
         self._idle_views = tuple(
             NodeView(name=name, busy=False, budget_w=self._node_budget_w,
                      measured_power_w=0.0, clamp_pressure=0.0)
-            for name in names
+            for name in self._names
         )
         #: One view per node, replaced only when the node starts or
         #: finishes a job; policies see ``tuple(self._views)``.
         self._views = list(self._idle_views)
         self._idle = spec.nodes
         self._watts = [0.0] * spec.nodes
-        self._index = {name: i for i, name in enumerate(names)}
-        for name in names:
+        self._index = {name: i for i, name in enumerate(self._names)}
+        for name in self._names:
             self.accumulator.note_node(name)
-        #: (finish_time, seq, node_idx, record) — seq breaks float ties
-        #: deterministically in placement order.
-        self._heap: list[tuple[float, int, int, JobRecord]] = []
+        #: (finish_s, seq, node_idx, job, start_s, time_s, energy_j) —
+        #: seq breaks float ties deterministically in placement order,
+        #: so the tuple never compares past it.
+        self._heap: list[tuple[float, int, int, Job, float, float, float]] = []
         self._seq = 0
         self._events = 0
         self._peak_power_w = 0.0
         self._next_job = None
+        self._completed0 = self.accumulator.completed
+        self._rejected0 = self.accumulator.rejected_count
 
     # ------------------------------------------------------------------
     def run_segment(self) -> float:
@@ -146,19 +173,50 @@ class AnalyticSim:
             coordinator_rounds=0,
             engine_events=self._events,
         )
+        self._observe_segment()
         return self.now
+
+    def _observe_segment(self) -> None:
+        """Fold this segment's dispatch/shed counts and close its span."""
+        completed = self.accumulator.completed - self._completed0
+        shed = self.accumulator.rejected_count - self._rejected0
+        if self._counters is not None:
+            # A segment drains, so every job it dispatched completed.
+            dispatched, rejected = self._counters
+            dispatched.inc(float(completed), policy=self.spec.policy)
+            rejected.inc(float(shed))
+        if self._span is not None:
+            self.tracer.finish(self._span, at=self.now,
+                               completed=completed, shed=shed)
 
     # ------------------------------------------------------------------
     def _fire_finish(self) -> None:
-        finish_t, _seq, idx, record = heapq.heappop(self._heap)
+        finish_t, _seq, idx, job, start_s, time_s, energy_j = heapq.heappop(
+            self._heap
+        )
         self.now = finish_t
         self._events += 1
+        watts = self._watts[idx]
         self._watts[idx] = 0.0
         self._views[idx] = self._idle_views[idx]
         self._idle += 1
-        self.accumulator.add_job(record)
+        node = self._names[idx]
+        self.accumulator.add(
+            node, job.submit_s, start_s, finish_t, time_s, energy_j
+        )
         if self.spec.retain_jobs:
-            self.records.append(record)
+            self.records.append(JobRecord(
+                index=job.index,
+                app=job.app,
+                threads=job.threads,
+                node=node,
+                submit_s=job.submit_s,
+                start_s=start_s,
+                finish_s=finish_t,
+                time_s=time_s,
+                energy_j=energy_j,
+                avg_watts=watts,
+            ))
 
     def _fire_arrival(self, arrival_t: float) -> None:
         job = self._next_job
@@ -191,29 +249,23 @@ class AnalyticSim:
                     f"{node_name!r}"
                 )
             job = self.queue.take(position)
-            cost = job_cost(job)
-            watts = cost.avg_watts
-            record = JobRecord(
-                index=job.index,
-                app=job.app,
-                threads=job.threads,
-                node=node_name,
-                submit_s=job.submit_s,
-                start_s=self.now,
-                finish_s=self.now + cost.time_s,
-                time_s=cost.time_s,
-                energy_j=cost.energy_j,
-                avg_watts=watts,
-            )
+            # ``job_cost`` and ``RooflinePoint.avg_watts``, without
+            # building the scaled point.
+            unit = _paper_point(job.app, job.threads, job.compiler,
+                                job.optlevel)
+            time_s = unit.time_s * job.scale
+            energy_j = unit.energy_j * job.scale
+            watts = energy_j / time_s if time_s > 0 else 0.0
             self._watts[idx] = watts
             self._views[idx] = NodeView(
                 name=node_name, busy=True, budget_w=self._node_budget_w,
                 measured_power_w=watts, clamp_pressure=0.0,
             )
             self._idle -= 1
-            heapq.heappush(
-                self._heap, (record.finish_s, self._seq, idx, record)
-            )
+            heapq.heappush(self._heap, (
+                self.now + time_s, self._seq, idx, job, self.now, time_s,
+                energy_j,
+            ))
             self._seq += 1
             power = sum(self._watts) + NODE_FLOOR_W * self._idle
             if power > self._peak_power_w:
@@ -225,16 +277,19 @@ def run_analytic(
     *,
     bus: Optional[TelemetryBus] = None,
     checkpoint_dir=None,
+    registry=None,
+    tracer=None,
 ) -> SchedResult:
     """Run a spec analytically (segmented when ``segment_jobs`` is set)."""
     from repro.sched.checkpoint import run_segmented
     from repro.sched.cluster import build_result, emit_finished
 
     if spec.segment_jobs:
-        return run_segmented(spec, bus=bus, checkpoint_dir=checkpoint_dir)
+        return run_segmented(spec, bus=bus, checkpoint_dir=checkpoint_dir,
+                             registry=registry, tracer=tracer)
     bus = bus if bus is not None else TelemetryBus()
     t0 = time.perf_counter()
-    sim = AnalyticSim(spec, bus=bus)
+    sim = AnalyticSim(spec, bus=bus, registry=registry, tracer=tracer)
     sim.run_segment()
     sim.accumulator.add_violations(
         roofline_envelope(spec, sim.accumulator.snapshot())

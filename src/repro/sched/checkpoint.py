@@ -122,6 +122,8 @@ def _run_one_segment(
     bus: TelemetryBus,
     state: SchedCheckpoint,
     limit: int,
+    registry=None,
+    tracer=None,
 ) -> float:
     """Execute one drained segment against the carried state in place."""
     if spec.execution == "analytic":
@@ -135,6 +137,8 @@ def _run_one_segment(
             clock_s=state.clock_s,
             accumulator=state.accumulator,
             records=state.records,
+            registry=registry,
+            tracer=tracer,
         )
         return sim.run_segment()
     from repro.sched.cluster import ClusterSim
@@ -148,6 +152,8 @@ def _run_one_segment(
         limit=limit,
         accumulator=state.accumulator,
         records=state.records,
+        registry=registry,
+        tracer=tracer,
     )
     return sim.run_segment()
 
@@ -157,13 +163,16 @@ def run_segmented(
     *,
     bus: Optional[TelemetryBus] = None,
     checkpoint_dir: Optional[Path] = None,
+    registry=None,
+    tracer=None,
 ) -> SchedResult:
     """Run a ``segment_jobs`` spec segment by segment, checkpointing.
 
     With ``checkpoint_dir`` set, the carry state is persisted after
     every segment and a pre-existing checkpoint is resumed from; without
     it the segmentation still happens (the digest demands it) but
-    nothing touches disk.
+    nothing touches disk.  ``registry``/``tracer`` reach every segment's
+    sim; a resumed run observes only the segments it executes.
     """
     from repro.sched.cluster import build_result, emit_finished
     from repro.sched.roofline import roofline_envelope
@@ -183,7 +192,8 @@ def run_segmented(
 
     while state.next_start < spec.jobs:
         limit = min(spec.segment_jobs, spec.jobs - state.next_start)
-        state.clock_s = _run_one_segment(spec, bus, state, limit)
+        state.clock_s = _run_one_segment(spec, bus, state, limit,
+                                         registry, tracer)
         state.next_start += limit
         if checkpoint_dir is not None and state.next_start < spec.jobs:
             save_checkpoint(checkpoint_dir, spec, state)

@@ -108,6 +108,24 @@ def emit_finished(
     ))
 
 
+def sched_counters(registry, policy: str) -> tuple:
+    """Declare the scheduler's lifecycle counters in ``registry``.
+
+    Returns ``(dispatched, shed)``, each with its ``policy`` series
+    present at zero.  The full path bumps them per job through the
+    telemetry fold; the analytic path adds a segment's counts at once.
+    """
+    dispatched = registry.counter(
+        "sched_jobs_dispatched_total",
+        "Jobs placed onto nodes, by policy.", labels=("policy",))
+    dispatched.inc(0.0, policy=policy)
+    shed = registry.counter(
+        "sched_jobs_shed_total",
+        "Arrivals rejected by the full admission queue.")
+    shed.inc(0.0)
+    return dispatched, shed
+
+
 class ClusterSim:
     """Drives one scheduled run (or one segment of one): trace in,
     accumulator folds out, :class:`SchedResult` on :meth:`run`."""
@@ -137,13 +155,7 @@ class ClusterSim:
         self._emit = tel.Emitter(self.bus, registry)
         self._m_select = self._m_clamp = None
         if registry is not None:
-            registry.counter(
-                "sched_jobs_dispatched_total",
-                "Jobs placed onto nodes, by policy.", labels=("policy",),
-            ).inc(0.0, policy=spec.policy)
-            registry.counter(
-                "sched_jobs_shed_total",
-                "Arrivals rejected by the full admission queue.").inc(0.0)
+            sched_counters(registry, spec.policy)
             self._m_select = registry.histogram(
                 "sched_policy_select_seconds",
                 "Wall seconds per placement-policy select() call.",
@@ -426,17 +438,21 @@ def run_sched(
     ``checkpoint_dir`` (a path) enables atomic between-segment
     checkpoints and resume for specs with ``segment_jobs`` set; it is an
     execution detail (where on disk), never part of the spec digest.
-    ``registry``/``tracer`` attach observability (full simulation path
-    only — the analytic and segmented paths build their own sims); like
-    ``bus``, they are execution details that never reach the digest.
+    ``registry``/``tracer`` attach observability on every path: the
+    full simulation counts and traces each job, the analytic path folds
+    its counters and records one sim-time span per segment (the policy
+    select-latency histogram is full-path only).  Like ``bus``, they are
+    execution details that never reach the digest.
     """
     if spec.execution == "analytic":
         from repro.sched.analytic import run_analytic
 
-        return run_analytic(spec, bus=bus, checkpoint_dir=checkpoint_dir)
+        return run_analytic(spec, bus=bus, checkpoint_dir=checkpoint_dir,
+                            registry=registry, tracer=tracer)
     if spec.segment_jobs:
         from repro.sched.checkpoint import run_segmented
 
-        return run_segmented(spec, bus=bus, checkpoint_dir=checkpoint_dir)
+        return run_segmented(spec, bus=bus, checkpoint_dir=checkpoint_dir,
+                             registry=registry, tracer=tracer)
     return ClusterSim(spec, bus=bus, engine=engine, registry=registry,
                       tracer=tracer).run()

@@ -41,8 +41,15 @@ The fifth policy breaks that rule on purpose:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Protocol, Sequence
+import math
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    NamedTuple,
+    Optional,
+    Protocol,
+    Sequence,
+)
 
 from repro.config import PAPER_MACHINE
 from repro.errors import ConfigError
@@ -70,9 +77,12 @@ def estimate_job_power_w(threads: int) -> float:
     return threads * _WATTS_PER_THREAD
 
 
-@dataclass(frozen=True)
-class NodeView:
-    """Immutable per-node snapshot handed to policies."""
+class NodeView(NamedTuple):
+    """Immutable per-node snapshot handed to policies.
+
+    Tuple-backed: the analytic loop builds one per placement, and a
+    ``NamedTuple`` constructs and reads fields at tuple speed.
+    """
 
     name: str
     busy: bool
@@ -87,9 +97,9 @@ class NodeView:
         return max(0.0, self.budget_w - self.measured_power_w)
 
 
-@dataclass(frozen=True)
-class ClusterState:
-    """Cluster-wide snapshot for budget-aware policies."""
+class ClusterState(NamedTuple):
+    """Cluster-wide snapshot for budget-aware policies (tuple-backed,
+    built once per placement like :class:`NodeView`)."""
 
     time_s: float
     global_budget_w: float
@@ -233,6 +243,11 @@ class PredictedPlacement:
 
     def __init__(self, model: "Optional[PredictorModel]" = None) -> None:
         self._model = model
+        #: (app, threads) -> (unit time, sensitivity slope, absolute
+        #: watts, marginal watts); the model is frozen, so each key is
+        #: resolved once per policy instead of on every select.
+        self._coeffs: dict[tuple[str, int],
+                           tuple[float, float, float, float]] = {}
 
     @property
     def model(self) -> "PredictorModel":
@@ -242,38 +257,47 @@ class PredictedPlacement:
             self._model = default_model()
         return self._model
 
-    def _pressure(self, state: ClusterState) -> float:
-        """Cluster power-pressure proxy in [0, ~1]: budget utilisation."""
-        if state.global_budget_w <= 0:
-            return 0.0
-        return min(1.0, state.total_power_w / state.global_budget_w)
+    def _coefficients(
+        self, app: str, threads: int
+    ) -> tuple[float, float, float, float]:
+        entry = self.model.resolve(app, threads)
+        # Calibrated watts are absolute node draw; the cluster's measured
+        # total already contains every node's idle floor, so the budget
+        # hold uses the *marginal* draw this job adds.
+        coeffs = (entry.unit_time_s, entry.sens_slope, entry.watts,
+                  max(0.0, entry.watts - _NODE_IDLE_W))
+        self._coeffs[app, threads] = coeffs
+        return coeffs
 
     def select(self, queue, nodes, state):
         idle = _idle(nodes)
         if not queue or not idle:
             return None
-        model = self.model
-        pressure = self._pressure(state)
-
-        def edp(job: Job) -> tuple[float, int]:
-            return (
-                model.predict_edp(job.app, job.threads, job.scale,
-                                  pressure=pressure),
-                job.index,
-            )
-
-        pos = min(range(len(queue)), key=lambda i: edp(queue[i]))
-        job = queue[pos]
-        # Calibrated watts are absolute node draw; the cluster's measured
-        # total already contains every node's idle floor, so hold against
-        # the *marginal* draw this job adds.
-        need = max(
-            0.0, model.predict_watts(job.app, job.threads) - _NODE_IDLE_W
-        )
+        memo = self._coeffs
+        pos, job = 0, queue[0]
+        coeffs = (memo.get((job.app, job.threads))
+                  or self._coefficients(job.app, job.threads))
+        if len(queue) > 1:
+            # Lowest predicted EDP first, ties to the lower job index:
+            # ``PredictorModel.predict_edp`` bit for bit, with the
+            # cluster's budget utilisation as the pressure.
+            budget = state.global_budget_w
+            pressure = (max(0.0, min(1.0, state.total_power_w / budget))
+                        if budget > 0 else 0.0)
+            best = math.inf
+            for i, candidate in enumerate(queue):
+                c = (memo.get((candidate.app, candidate.threads))
+                     or self._coefficients(candidate.app, candidate.threads))
+                t = c[0] * candidate.scale * (1.0 + c[1] * pressure)
+                edp = c[2] * t * t
+                if edp < best or (edp == best and candidate.index < job.index):
+                    pos, best, job, coeffs = i, edp, candidate, c
+        _unit, sensitivity, _watts, need = coeffs
         any_busy = len(idle) < len(nodes)
         if any_busy and state.total_power_w + need > state.global_budget_w:
             return None  # hold until running jobs free up watts
-        sensitivity = model.sensitivity_of(job.app, job.threads)
+        if len(idle) == 1:
+            return pos, idle[0].name
         chosen = min(
             idle,
             key=lambda n: (

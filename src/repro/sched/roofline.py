@@ -125,9 +125,10 @@ def _paper_point(
 ) -> RooflinePoint:
     """:func:`roofline_point` on the paper machine, keyed without it.
 
-    :func:`job_cost` looks a point up for every job, and the cache key
-    of ``roofline_point`` holds the nested frozen ``MachineConfig``,
-    which is re-hashed field by field on every call.
+    :func:`job_cost` and the analytic dispatch loop look a point up for
+    every job, and the cache key of ``roofline_point`` holds the nested
+    frozen ``MachineConfig``, which is re-hashed field by field on every
+    call.
     """
     return roofline_point(app, threads, compiler, optlevel)
 

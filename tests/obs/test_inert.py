@@ -56,6 +56,30 @@ def test_sched_result_digest_bit_identical_with_obs_attached():
     assert len(tracer.spans) == instrumented.completed
 
 
+@pytest.mark.parametrize("segment_jobs", [0, 7], ids=["whole", "segmented"])
+def test_analytic_digest_bit_identical_with_obs_attached(segment_jobs):
+    # The analytic path folds its counters and records one span per
+    # segment: counts match the result, spans sit in simulated time.
+    spec = SchedSpec(nodes=2, jobs=20, queue_depth=2, rate_jobs_per_s=0.2,
+                     execution="analytic", segment_jobs=segment_jobs, seed=3)
+    bare = spec.execute()
+    registry, tracer = MetricsRegistry(), SpanRecorder(clock=lambda: 0.0)
+    instrumented = spec.execute(registry=registry, tracer=tracer)
+    assert bare.result_digest() == instrumented.result_digest()
+    assert instrumented.completed > 0 and instrumented.rejected_count > 0
+    snap = registry.snapshot().instruments
+    assert snap["sched_jobs_dispatched_total"].series == {
+        ("fcfs",): float(instrumented.completed)}
+    assert snap["sched_jobs_shed_total"].series == {
+        (): float(instrumented.rejected_count)}
+    assert "sched_policy_select_seconds" not in snap
+    assert len(tracer.spans) == instrumented.stats.segments
+    assert tracer.spans[0].start_s == 0.0
+    assert tracer.spans[-1].end_s == instrumented.makespan_s
+    for before, after in zip(tracer.spans, list(tracer.spans)[1:]):
+        assert before.end_s == after.start_s
+
+
 def test_sched_trace_spans_use_sim_time():
     spec = SchedSpec(nodes=2, jobs=4, scale=0.3, seed=5)
     tracer = SpanRecorder(clock=lambda: 0.0)

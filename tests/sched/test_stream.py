@@ -106,3 +106,31 @@ def test_format_caps_per_job_rows():
     text = result.format()
     assert f"... {70 - MAX_FORMAT_ROWS} more jobs" in text
     assert text.count("node") >= MAX_FORMAT_ROWS
+
+
+def test_scalar_fold_matches_record_fold():
+    # ``add_job(record)`` and ``add(...)`` over the record's scalars
+    # must leave identical state, the zero-service-time record (whose
+    # slowdown is pinned to 1.0) included.
+    from repro.sched import JobRecord, SchedAccumulator
+
+    records = [
+        JobRecord(index=0, app="mergesort", threads=8, node="node0",
+                  submit_s=0.5, start_s=1.25, finish_s=4.0, time_s=2.75,
+                  energy_j=310.0, avg_watts=112.7),
+        JobRecord(index=1, app="nqueens", threads=4, node="node1",
+                  submit_s=1.0, start_s=1.0, finish_s=1.0, time_s=0.0,
+                  energy_j=0.0, avg_watts=0.0),
+        JobRecord(index=2, app="reduction", threads=16, node="node0",
+                  submit_s=2.0, start_s=4.0, finish_s=9.5, time_s=5.5,
+                  energy_j=901.25, avg_watts=163.9),
+    ]
+    by_record, by_scalars = SchedAccumulator(), SchedAccumulator()
+    for record in records:
+        by_record.add_job(record)
+        by_scalars.add(record.node, record.submit_s, record.start_s,
+                       record.finish_s, record.time_s, record.energy_j)
+    assert by_scalars.snapshot() == by_record.snapshot()
+    assert by_scalars.snapshot().digest() == by_record.snapshot().digest()
+    assert by_record.slowdown_sum == (
+        records[0].slowdown + 1.0 + records[2].slowdown)

@@ -72,12 +72,15 @@ def test_cli_nan_budget_exits_2_with_one_line(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["sched", "--execution", "analytic", "--jobs", "8", "--quiet"],
+    # A one-deep queue under fast arrivals: the run both places and sheds.
+    ["sched", "--execution", "analytic", "--jobs", "8", "--queue-depth",
+     "1", "--rate", "5", "--quiet"],
     ["schedsweep", "--quick", "--no-cache", "--quiet"],
 ], ids=["sched", "schedsweep"])
 def test_cli_observability_flags(argv, tmp_path, capsys):
     """``--events/--metrics/--trace`` write a JSONL event log, a metrics
-    snapshot and a loadable Chrome trace."""
+    snapshot and a loadable Chrome trace; an analytic ``sched`` run's
+    snapshot counts what its result reports."""
     import json
 
     from repro.obs import MetricsSnapshot
@@ -99,6 +102,17 @@ def test_cli_observability_flags(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"metrics snapshot written to {metrics}" in err
     assert f"written to {trace}" in err
+    if argv[0] == "sched":
+        finished, = (json.loads(line) for line in lines
+                     if json.loads(line)["event"] == "SchedFinished")
+        assert finished["completed"] > 0 and finished["rejected"] > 0
+        series = {inst["name"]: inst["series"]
+                  for inst in snapshot["instruments"]}
+        assert series["sched_jobs_dispatched_total"] == [
+            {"labels": ["fcfs"], "value": float(finished["completed"])}]
+        assert series["sched_jobs_shed_total"] == [
+            {"labels": [], "value": float(finished["rejected"])}]
+        assert [ev for ev in chrome["traceEvents"] if ev["ph"] == "X"]
 
 
 def test_cli_parser_has_all_subcommands():
