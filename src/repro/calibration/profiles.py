@@ -22,8 +22,9 @@ Contention exponents (``alpha``) by access pattern:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from repro.calibration.fit import (
@@ -45,7 +46,10 @@ from repro.calibration.paper_data import (
 from repro.calibration.residuals import residual_for
 from repro.config import MachineConfig, PAPER_MACHINE
 from repro.errors import CalibrationError, UnknownApplicationError, UnknownCompilerError
-from repro.hw.core import Segment
+from repro.hw.core import Segment, invalid_solo_seconds
+
+_new_tuple = tuple.__new__
+_INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -265,25 +269,48 @@ class WorkloadProfile:
             return self.power_scale
         return self.power_scale * self.power_shapes[i]
 
+    @cached_property
+    def _phase_constants(self) -> tuple[tuple, ...]:
+        """Validated ``(mu, power_scale, alpha, coherence)`` per phase.
+
+        Built (and validated through :class:`Segment`) on first use, so
+        :meth:`work` only has to check each call's duration.
+        """
+        alpha = self.shape.alpha
+        coherence = self.shape.coherence
+        return tuple(
+            Segment(0.0, self.phase_mu(i), self.phase_power_scale(i), alpha,
+                    coherence)[1:5]
+            for i in range(self.num_phases)
+        )
+
+    @cached_property
+    def _serial_constants(self) -> tuple:
+        """Validated ``(mu, power_scale, alpha, coherence)`` of serial work."""
+        return Segment(
+            0.0, self.shape.mu_serial, self.power_scale, self.shape.alpha
+        )[1:5]
+
     def work(self, solo_seconds: float, phase: int = 0, *, tag: str = "") -> Segment:
         """A parallel-phase work segment with this profile's character."""
-        return Segment(
-            solo_seconds=solo_seconds,
-            mem_fraction=self.phase_mu(phase),
-            power_scale=self.phase_power_scale(phase),
-            contention_exponent=self.shape.alpha,
-            coherence_penalty=self.shape.coherence,
-            tag=tag or f"{self.app}:p{phase}",
+        mu, scale, alpha, coherence = self._phase_constants[phase]
+        if not 0.0 <= solo_seconds < _INF:
+            raise invalid_solo_seconds(solo_seconds)
+        return _new_tuple(
+            Segment,
+            (solo_seconds, mu, scale, alpha, coherence,
+             tag or f"{self.app}:p{phase}"),
         )
 
     def serial_work(self, solo_seconds: float, *, tag: str = "") -> Segment:
         """A serial-section work segment."""
-        return Segment(
-            solo_seconds=solo_seconds,
-            mem_fraction=self.shape.mu_serial,
-            power_scale=self.power_scale,
-            contention_exponent=self.shape.alpha,
-            tag=tag or f"{self.app}:serial",
+        mu, scale, alpha, coherence = self._serial_constants
+        if not 0.0 <= solo_seconds < _INF:
+            raise invalid_solo_seconds(solo_seconds)
+        return _new_tuple(
+            Segment,
+            (solo_seconds, mu, scale, alpha, coherence,
+             tag or f"{self.app}:serial"),
         )
 
 

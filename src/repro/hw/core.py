@@ -21,6 +21,7 @@ duty cycle and contention (see :mod:`repro.hw.memory`).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple, Optional
 
@@ -35,6 +36,23 @@ class CoreState(enum.Enum):
 
 
 _new_tuple = tuple.__new__
+_INF = math.inf
+
+
+def _field_error(field: str, value: object, bound: str) -> ValueError:
+    """``<field> must be <bound>``, or ``must be finite`` for ``+inf``."""
+    if value == _INF:
+        return ValueError(f"{field} must be finite, got {value!r}")
+    return ValueError(f"{field} must be {bound}, got {value!r}")
+
+
+def invalid_solo_seconds(solo_seconds: object) -> ValueError:
+    """The error for a segment duration that is negative, NaN or infinite.
+
+    Shared by :class:`Segment` and the callers that build segments from
+    pre-validated constants, so every path names the bad value alike.
+    """
+    return _field_error("solo_seconds", solo_seconds, ">= 0")
 
 
 class _SegmentFields(NamedTuple):
@@ -95,20 +113,20 @@ class Segment(_SegmentFields):
         coherence_penalty: float = 0.0,
         tag: str = "",
     ) -> "Segment":
-        if solo_seconds < 0:
-            raise ValueError(f"solo_seconds must be >= 0, got {solo_seconds!r}")
+        # Inverted comparisons: NaN fails every ``<``/``>=``, so ``not``
+        # of the valid range rejects it where a plain ``x < 0`` lets it in.
+        if not 0.0 <= solo_seconds < _INF:
+            raise invalid_solo_seconds(solo_seconds)
         if not (0.0 <= mem_fraction <= 1.0):
             raise ValueError(f"mem_fraction must be in [0,1], got {mem_fraction!r}")
-        if power_scale <= 0:
-            raise ValueError(f"power_scale must be positive, got {power_scale!r}")
-        if contention_exponent is not None and contention_exponent < 1.0:
-            raise ValueError(
-                f"contention_exponent must be >= 1, got {contention_exponent!r}"
-            )
-        if coherence_penalty < 0.0:
-            raise ValueError(
-                f"coherence_penalty must be >= 0, got {coherence_penalty!r}"
-            )
+        if not 0.0 < power_scale < _INF:
+            raise _field_error("power_scale", power_scale, "positive")
+        if contention_exponent is not None and not (
+            1.0 <= contention_exponent < _INF
+        ):
+            raise _field_error("contention_exponent", contention_exponent, ">= 1")
+        if not 0.0 <= coherence_penalty < _INF:
+            raise _field_error("coherence_penalty", coherence_penalty, ">= 0")
         return _new_tuple(
             cls,
             (solo_seconds, mem_fraction, power_scale, contention_exponent,

@@ -12,10 +12,12 @@ core changes state, a duty cycle commits).  Every mutation therefore runs:
 1. ``_sync()``   — integrate energy/thermal/counters over the interval
    since the last sync and drain in-flight segments at the cached rates;
 2. the mutation itself, which marks the affected sockets dirty;
-3. a request for ``_recompute()`` — recompute contention, per-core rates
-   and socket power, and reschedule the next segment-completion event.
-   Inside an engine callback the request is deferred to the end of the
-   event (:meth:`~repro.sim.engine.Engine.defer`), so the node re-derives
+3. a request for ``_recompute()`` — re-derive each dirty socket's
+   contention, then walk its cores once more, deriving each core's rate
+   and pricing its power term in the same loop, and reschedule the next
+   segment-completion event.  Inside an engine callback the request is
+   deferred to the end of the event
+   (:meth:`~repro.sim.engine.Engine.defer`), so the node re-derives
    **once per engine event**, however many cores the event touched (a
    parallel-region start assigns up to 16).  Outside ``Engine.run`` the
    recompute is eager.
@@ -290,22 +292,6 @@ class Node:
         if probe is not None:
             probe(dt)
 
-    def _mark_rates_dirty(self, socket: int, *, busy_changed: bool = False) -> None:
-        """Flag a socket for re-derivation on the next :meth:`_recompute`.
-
-        ``busy_changed`` means the node-wide busy count moved (a core
-        entered or left ``BUSY``): sockets hosting coherence-penalty
-        segments must then be re-derived too, because their cores' latency
-        stretch depends on that node-wide count.
-        """
-        dirty = self._rate_dirty
-        dirty[socket] = True
-        if busy_changed:
-            coh = self._coh_in_socket
-            for t in range(len(coh)):
-                if coh[t]:
-                    dirty[t] = True
-
     def _request_recompute(self) -> None:
         """Re-derive after a mutation: once at event end, or now if idle.
 
@@ -329,15 +315,24 @@ class Node:
     def _recompute(self) -> None:
         """Recompute contention, rates and power; reschedule completion.
 
-        Memoized: only sockets marked dirty by a mutator re-derive demand
-        and per-core rates; socket power re-prices when the rates changed
-        *or* the die temperature moved since it was last priced (exact
-        float comparison).  A clean socket's cached values are exactly what
-        a full pass would recompute from the unchanged inputs, so skipping
-        it cannot change a single bit of simulator output.  The inlined
-        arithmetic below reproduces the :class:`~repro.hw.memory.MemoryModel`
-        methods operation for operation (validation checks elided — every
-        input was validated when the segment/duty was accepted).
+        Memoized: only sockets marked dirty by a mutator are re-derived,
+        in two walks over their cores.  The first sums each socket's memory
+        demand and busy count; it must finish for every dirty socket first,
+        because a coherence segment's stretch depends on the node-wide busy
+        total.  The second is one fused walk that derives each core's speed
+        and ``mem_wall_fraction`` and prices its power term on the spot,
+        keeping :meth:`~repro.hw.power.PowerModel.socket_power_w`'s
+        summation order (uncore times leakage, the cores in index order,
+        bandwidth last), so the socket's power is the same float.  A clean
+        socket re-prices through ``socket_power_w`` only when its die
+        temperature moved since it was last priced (exact float
+        comparison).  A clean socket's cached values are exactly what a
+        full pass would recompute from the unchanged inputs, so skipping it
+        cannot change a single bit of simulator output.  The inlined
+        arithmetic reproduces the :class:`~repro.hw.memory.MemoryModel` and
+        :class:`~repro.hw.power.PowerModel` methods operation for operation
+        (validation checks elided — every input was validated when the
+        segment/duty was accepted).
         """
         now = self.engine.now
         dirty = self._rate_dirty
@@ -353,8 +348,7 @@ class Node:
                     break
             else:
                 return
-        mm = self.memory_model
-        mcfg = mm.config
+        mcfg = self.memory_model.config
         mlp = mcfg.mlp_per_core
         knee = mcfg.knee_refs
         default_alpha = mcfg.contention_exponent
@@ -362,13 +356,14 @@ class Node:
         mem_state = self._mem_state
         busy_in = self._busy_in_socket
         coh_in = self._coh_in_socket
+        socket_cores = self._socket_cores
         for s in range(sockets):
             if not dirty[s]:
                 continue
             demand = 0.0
             busy = 0
             coh = 0
-            for core in self._socket_cores[s]:
+            for core in socket_cores[s]:
                 if core.state is busy_state and core.segment is not None:
                     demand += mlp * core.segment.mem_fraction
                     busy += 1
@@ -386,14 +381,36 @@ class Node:
                 bw_util=0.0 if demand <= 0 else min(1.0, demand / knee),
             )
         busy_total = sum(busy_in)
+        pm = self.power_model
+        pcfg = pm.config
+        uncore_w = pcfg.uncore_w
+        idle_w = pcfg.core_idle_w
+        base_w = pcfg.core_active_base_w
+        cpu_w = pcfg.core_cpu_w
+        stall_w = pcfg.core_stall_w
+        bandwidth_w = pcfg.bandwidth_w
+        idle_state = CoreState.IDLE
+        off_state = CoreState.OFF
+        socket_power = self._socket_power
         for s in range(sockets):
+            temp = thermal[s].temp_degc
             if not dirty[s]:
+                if temp != power_temp[s]:
+                    socket_power[s] = pm.socket_power_w(
+                        socket_cores[s], mem_state[s].bw_util, temp
+                    )
+                    power_temp[s] = temp
                 continue
-            demand_s = mem_state[s].demand
-            stretch_s = mem_state[s].stretch
-            for core in self._socket_cores[s]:
-                if core.state is busy_state and core.segment is not None:
-                    seg = core.segment
+            mem = mem_state[s]
+            demand_s = mem.demand
+            stretch_s = mem.stretch
+            leak = pm.leakage_factor(temp)
+            base_leak = base_w * leak
+            total = uncore_w * leak
+            for core in socket_cores[s]:
+                state = core.state
+                seg = core.segment
+                if state is busy_state and seg is not None:
                     exponent = seg.contention_exponent
                     if demand_s <= knee:
                         sigma = 1.0
@@ -406,24 +423,30 @@ class Node:
                     if seg.coherence_penalty > 0.0 and busy_total > 1:
                         sigma += seg.coherence_penalty * (busy_total - 1)
                     mu = seg.mem_fraction
-                    wall_stretch = (1.0 - mu) / core.duty + mu * sigma
+                    duty = core.duty
+                    wall_stretch = (1.0 - mu) / duty + mu * sigma
+                    mu_wall = (mu * sigma) / wall_stretch if wall_stretch > 0 else 0.0
                     core.speed = 1.0 / wall_stretch
-                    core.mem_wall_fraction = (
-                        (mu * sigma) / wall_stretch if wall_stretch > 0 else 0.0
+                    core.mem_wall_fraction = mu_wall
+                    total += seg.power_scale * (
+                        base_leak + (cpu_w * duty * (1.0 - mu_wall) + stall_w * mu_wall)
                     )
                 else:
                     core.speed = 0.0
                     core.mem_wall_fraction = 0.0
-        pm = self.power_model
-        for s in range(sockets):
-            temp = thermal[s].temp_degc
-            if dirty[s] or temp != power_temp[s]:
-                self._socket_power[s] = pm.socket_power_w(
-                    self._socket_cores[s],
-                    mem_state[s].bw_util,
-                    temp,
-                )
-                power_temp[s] = temp
+                    if state is idle_state:
+                        total += idle_w * leak
+                    elif state is not off_state:
+                        # SPIN.  A segment-less BUSY core prices as
+                        # ``1.0 * (base_leak + cpu_w*duty*(1.0-0.0) +
+                        # stall_w*0.0)`` in socket_power_w: the same float.
+                        total += base_leak + cpu_w * core.duty
+                    # OFF contributes exactly 0.0; skipping the add leaves
+                    # the (strictly positive) total bit-identical.
+            # bw_util is already in [0, 1], so socket_power_w's clamp is
+            # the identity on it.
+            socket_power[s] = total + bandwidth_w * mem.bw_util
+            power_temp[s] = temp
             dirty[s] = False
         self._recompute_now = now
         self._schedule_completion()
@@ -451,23 +474,28 @@ class Node:
     def _on_completion(self) -> None:
         self._completion = None
         self._sync()
-        finished: list[Core] = []
+        busy = CoreState.BUSY
+        idle = CoreState.IDLE
+        dirty = self._rate_dirty
+        callbacks: list[Optional[Callable[[], Any]]] = []
         for core in self.cores:
-            if core.state is CoreState.BUSY and (
+            if core.state is busy and (
                 core.remaining <= core.speed * _COMPLETION_EPS_S
             ):
-                finished.append(core)
-        callbacks: list[Optional[Callable[[], Any]]] = []
-        for core in finished:
-            assert core.segment is not None
-            core.segments_completed += 1
-            core.work_done_solo_seconds += core.segment.solo_seconds
-            callbacks.append(core.on_complete)
-            core.segment = None
-            core.on_complete = None
-            core.remaining = 0.0
-            core.state = CoreState.IDLE
-            self._mark_rates_dirty(core.socket, busy_changed=True)
+                core.segments_completed += 1
+                core.work_done_solo_seconds += core.segment.solo_seconds
+                callbacks.append(core.on_complete)
+                core.segment = None
+                core.on_complete = None
+                core.remaining = 0.0
+                core.state = idle
+                dirty[core.socket] = True
+        if callbacks:
+            # The node-wide busy count moved: sockets hosting coherence
+            # segments re-derive too, since their stretch depends on it.
+            for t, coh in enumerate(self._coh_in_socket):
+                if coh:
+                    dirty[t] = True
         # One deferred re-derivation covers the completions and every
         # assign() the callbacks make; a callback that queries power or
         # contention recomputes on demand and sees the completions.
@@ -500,7 +528,12 @@ class Node:
         core.segment = segment
         core.remaining = segment.solo_seconds
         core.on_complete = on_complete
-        self._mark_rates_dirty(core.socket, busy_changed=True)
+        dirty = self._rate_dirty
+        dirty[core.socket] = True
+        # The node-wide busy count moved (see _on_completion).
+        for t, coh in enumerate(self._coh_in_socket):
+            if coh:
+                dirty[t] = True
         self._request_recompute()
 
     def _set_state(self, core_index: int, state: CoreState) -> None:
@@ -511,7 +544,7 @@ class Node:
             )
         self._sync()
         core.state = state
-        self._mark_rates_dirty(core.socket)
+        self._rate_dirty[core.socket] = True
         self._request_recompute()
 
     def set_idle(self, core_index: int) -> None:
@@ -527,7 +560,7 @@ class Node:
         core.state = CoreState.SPIN
         if duty is not None:
             core.duty = duty
-        self._mark_rates_dirty(core.socket)
+        self._rate_dirty[core.socket] = True
         self._request_recompute()
 
     def set_off(self, core_index: int) -> None:
@@ -545,7 +578,7 @@ class Node:
         self._sync()
         core = self.cores[core_index]
         core.duty = duty
-        self._mark_rates_dirty(core.socket)
+        self._rate_dirty[core.socket] = True
         self._request_recompute()
 
     def set_sync_probe(self, probe: Optional[Callable[[float], None]]) -> None:

@@ -101,8 +101,10 @@ class PowerModel:
 
         Inlines :meth:`core_power_w` with the same per-core expressions and
         the same accumulation order, so the sum is bit-identical to calling
-        it in a loop — this method runs once per socket on every machine
-        rate change, which makes it one of the simulator's hottest sums.
+        it in a loop.  The node prices a socket whose rates changed in its
+        fused rate loop, in this same order; it calls this method for a
+        clean socket whose temperature moved, and the invariant checker
+        uses it as the memo-free reference for both.
         """
         cfg = self.config
         leak = self.leakage_factor(temp_degc)

@@ -46,6 +46,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.qthreads.scheduler import Scheduler
     from repro.qthreads.shepherd import Shepherd
 
+_new_tuple = tuple.__new__
+
 #: Runtime-bookkeeping segments touch queue/task metadata: mostly cache
 #: traffic, modelled as mildly memory-bound work.
 _OVERHEAD_MEM_FRACTION = 0.2
@@ -92,19 +94,17 @@ class Worker:
             return segment
         self.pending_overhead_s = 0.0
         total = segment.solo_seconds + ovh
-        if total <= 0.0:
-            return segment
         mem = (
             segment.solo_seconds * segment.mem_fraction
             + ovh * _OVERHEAD_MEM_FRACTION
         ) / total
-        return Segment(
-            total,
-            mem,
-            segment.power_scale,
-            segment.contention_exponent,
-            segment.coherence_penalty,
-            segment.tag,
+        # No re-validation: ``segment`` was validated when it was built,
+        # ``total`` is finite and positive (``ovh > 0``), and ``mem`` is a
+        # convex combination of values in [0, 1], so it stays in [0, 1].
+        return _new_tuple(
+            Segment,
+            (total, mem, segment.power_scale, segment.contention_exponent,
+             segment.coherence_penalty, segment.tag),
         )
 
     # ------------------------------------------------------------------

@@ -119,6 +119,21 @@ class RCRDaemon:
         self._first_cores = [
             node.topology.cores_in_socket(s).start for s in range(self._sockets)
         ]
+        #: Each socket's eight published meter paths, in publish order
+        #: (fixed names — formatted once instead of eight times per tick).
+        self._socket_paths = [
+            (
+                meters.socket_energy_j(s),
+                meters.socket_power_w(s),
+                meters.socket_temp_degc(s),
+                meters.socket_mem_concurrency(s),
+                meters.socket_bw_util(s),
+                meters.socket_wraps(s),
+                meters.socket_sample_quality(s),
+                meters.socket_stale_s(s),
+            )
+            for s in range(self._sockets)
+        ]
         #: Fault injector (None or inert = provably untouched sensor path:
         #: wrap_msr returns the node's own MSRFile in that case).
         self.faults = faults if (faults is not None and faults.active) else None
@@ -280,6 +295,9 @@ class RCRDaemon:
         window_s = now - self._last_sample_s
         self._last_sample_s = now
         bb = self.blackboard
+        first_cores = self._first_cores
+        socket_paths = self._socket_paths
+        tjmax = self.node.config.thermal.tjmax_degc
         total_power = 0.0
         total_energy = 0.0
         good_sockets = 0
@@ -294,11 +312,9 @@ class RCRDaemon:
             power_w = (window_j / window_s) if (not initial and window_s > 0) else 0.0
 
             raw_therm = self._msr.read_core(
-                self._first_core(s), IA32_THERM_STATUS, privileged=True
+                first_cores[s], IA32_THERM_STATUS, privileged=True
             )
-            temp = ThermalState.decode_therm_status(
-                raw_therm, self.node.config.thermal.tjmax_degc
-            )
+            temp = ThermalState.decode_therm_status(raw_therm, tjmax)
 
             # One snapshot serves both the window average and the next
             # window's baseline (it used to be taken twice per socket).
@@ -325,14 +341,16 @@ class RCRDaemon:
                 power_w = self._last_good_power_w[s]
                 stale_s = now - self._last_good_ts[s]
 
-            bb.publish(meters.socket_energy_j(s), joules, now)
-            bb.publish(meters.socket_power_w(s), power_w, now)
-            bb.publish(meters.socket_temp_degc(s), temp, now)
-            bb.publish(meters.socket_mem_concurrency(s), avg_demand, now)
-            bb.publish(meters.socket_bw_util(s), avg_bw_util, now)
-            bb.publish(meters.socket_wraps(s), self.backend.wraps(s), now)
-            bb.publish(meters.socket_sample_quality(s), int(sample.quality), now)
-            bb.publish(meters.socket_stale_s(s), stale_s, now)
+            (energy_path, power_path, temp_path, conc_path, bw_path,
+             wraps_path, quality_path, stale_path) = socket_paths[s]
+            bb.publish(energy_path, joules, now)
+            bb.publish(power_path, power_w, now)
+            bb.publish(temp_path, temp, now)
+            bb.publish(conc_path, avg_demand, now)
+            bb.publish(bw_path, avg_bw_util, now)
+            bb.publish(wraps_path, self.backend.wraps(s), now)
+            bb.publish(quality_path, int(sample.quality), now)
+            bb.publish(stale_path, stale_s, now)
             total_power += power_w
             total_energy += joules
         bb.publish(meters.NODE_POWER_W, total_power, now)
@@ -372,7 +390,3 @@ class RCRDaemon:
                 tag="meter-read",
             ),
         )
-
-    def _first_core(self, socket: int) -> int:
-        """A core of ``socket`` through which package MSRs are read."""
-        return self._first_cores[socket]

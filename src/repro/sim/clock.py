@@ -18,7 +18,7 @@ class Clock:
     __slots__ = ("_now",)
 
     def __init__(self, start: float = 0.0) -> None:
-        if start < 0:
+        if not start >= 0:
             raise SimulationError(f"clock cannot start before zero, got {start!r}")
         self._now = float(start)
 
@@ -34,8 +34,9 @@ class Clock:
         raises :class:`SimulationError` immediately rather than corrupting
         downstream integrations (energy accumulators integrate power over
         ``dt`` and silently produce negative energy on a backwards clock).
+        A NaN time is refused the same way.
         """
-        if t < self._now:
+        if not t >= self._now:  # NaN fails ``>=`` and is refused too
             raise SimulationError(
                 f"clock moved backwards: {self._now!r} -> {t!r}"
             )

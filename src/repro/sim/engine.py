@@ -82,7 +82,7 @@ class Engine:
     @property
     def now(self) -> float:
         """Current simulation time in seconds."""
-        return self.clock.now
+        return self.clock._now  # one hop: the clock's slot, not its property
 
     @property
     def pending(self) -> int:
@@ -103,9 +103,9 @@ class Engine:
         label: str = "",
     ) -> ScheduledEvent:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:  # NaN fails ``>=``: refused like a negative delay
             raise SimulationError(f"cannot schedule into the past: delay={delay!r}")
-        return self.schedule_at(self.clock.now + delay, callback, priority=priority, label=label)
+        return self.schedule_at(self.clock._now + delay, callback, priority=priority, label=label)
 
     def schedule_at(
         self,
@@ -116,9 +116,10 @@ class Engine:
         label: str = "",
     ) -> ScheduledEvent:
         """Schedule ``callback`` at absolute simulation time ``time``."""
-        if time < self.clock.now:
+        now = self.clock._now
+        if not time >= now:  # NaN fails ``>=``: refused like a past time
             raise SimulationError(
-                f"cannot schedule into the past: t={time!r} < now={self.clock.now!r}"
+                f"cannot schedule into the past: t={time!r} < now={now!r}"
             )
         seq = self._seq
         self._seq = seq + 1

@@ -55,6 +55,66 @@ _THERMAL_SLACK_DEGC = 1e-9
 _APERF_REL_EPS = 1e-6
 
 
+def rederive_contention(node: "Node") -> tuple[list[float], int]:
+    """Each socket's memory demand and the node-wide busy count, from scratch.
+
+    Reads only the cores' states and segments, never the node's memo, so
+    the result is what a full, cache-free pass derives from the current
+    machine state.
+    """
+    mlp = node.config.memory.mlp_per_core
+    busy_state = CoreState.BUSY
+    ref_demand = []
+    busy_total = 0
+    for cores in node._socket_cores:
+        demand = 0.0
+        for core in cores:
+            if core.state is busy_state and core.segment is not None:
+                demand += mlp * core.segment.mem_fraction
+                busy_total += 1
+        ref_demand.append(demand)
+    return ref_demand, busy_total
+
+
+def rederive_rates(
+    node: "Node", ref_demand: list[float], busy_total: int
+) -> list[tuple[float, float]]:
+    """Every core's ``(speed, mem_wall_fraction)``, by core index, from scratch.
+
+    ``ref_demand`` and ``busy_total`` come from :func:`rederive_contention`.
+    The arithmetic is the memory model's, written out independently of the
+    node's fused rate-and-power loop so the two can be compared exactly.
+    """
+    mcfg = node.config.memory
+    knee = mcfg.knee_refs
+    busy_state = CoreState.BUSY
+    rates = [(0.0, 0.0)] * len(node.cores)
+    for s, cores in enumerate(node._socket_cores):
+        demand_s = ref_demand[s]
+        if demand_s <= knee:
+            stretch_s = 1.0
+        else:
+            stretch_s = (demand_s / knee) ** mcfg.contention_exponent
+        for core in cores:
+            if core.state is busy_state and core.segment is not None:
+                seg = core.segment
+                exponent = seg.contention_exponent
+                if demand_s <= knee:
+                    sigma = 1.0
+                elif exponent is None:
+                    sigma = stretch_s
+                else:
+                    sigma = (demand_s / knee) ** exponent
+                if seg.coherence_penalty > 0.0 and busy_total > 1:
+                    sigma += seg.coherence_penalty * (busy_total - 1)
+                mu = seg.mem_fraction
+                wall_stretch = (1.0 - mu) / core.duty + mu * sigma
+                speed = 1.0 / wall_stretch
+                mwf = (mu * sigma) / wall_stretch if wall_stretch > 0 else 0.0
+                rates[core.index] = (speed, mwf)
+    return rates
+
+
 class InvariantChecker:
     """Attachable physics and accounting sanitizer for one run."""
 
@@ -218,25 +278,12 @@ class InvariantChecker:
 
         # --- independently re-derived contention state ------------------
         mcfg = cfg.memory
-        mlp = mcfg.mlp_per_core
         knee = mcfg.knee_refs
-        busy_state = CoreState.BUSY
-        ref_demand = [0.0] * sockets
-        busy_in = [0] * sockets
-        for s in range(sockets):
-            demand = 0.0
-            busy = 0
-            for core in node._socket_cores[s]:
-                if core.state is busy_state and core.segment is not None:
-                    demand += mlp * core.segment.mem_fraction
-                    busy += 1
-            ref_demand[s] = demand
-            busy_in[s] = busy
-        busy_total = sum(busy_in)
+        ref_demand, busy_total = rederive_contention(node)
 
         for s in range(sockets):
             self._check_socket(node, s, now, ref_demand[s], knee, mcfg)
-        self._check_rates(node, now, ref_demand, knee, busy_total)
+        self._check_rates(node, now, ref_demand, busy_total)
         for core in node.cores:
             self._check_core(node, core, now)
 
@@ -349,43 +396,20 @@ class InvariantChecker:
                 )
 
     # ------------------------------------------------------------------
-    def _check_rates(self, node, now, ref_demand, knee, busy_total):
+    def _check_rates(self, node, now, ref_demand, busy_total):
         """Re-derive every core's rate from scratch and compare exactly."""
-        busy_state = CoreState.BUSY
-        for s in range(node.config.sockets):
-            demand_s = ref_demand[s]
-            if demand_s <= knee:
-                stretch_s = 1.0
-            else:
-                stretch_s = (demand_s / knee) ** node.config.memory.contention_exponent
-            for core in node._socket_cores[s]:
-                self._tally("rate-coherence")
-                if core.state is busy_state and core.segment is not None:
-                    seg = core.segment
-                    exponent = seg.contention_exponent
-                    if demand_s <= knee:
-                        sigma = 1.0
-                    elif exponent is None:
-                        sigma = stretch_s
-                    else:
-                        sigma = (demand_s / knee) ** exponent
-                    if seg.coherence_penalty > 0.0 and busy_total > 1:
-                        sigma += seg.coherence_penalty * (busy_total - 1)
-                    mu = seg.mem_fraction
-                    wall_stretch = (1.0 - mu) / core.duty + mu * sigma
-                    speed = 1.0 / wall_stretch
-                    mwf = (mu * sigma) / wall_stretch if wall_stretch > 0 else 0.0
-                else:
-                    speed = 0.0
-                    mwf = 0.0
-                if core.speed != speed or core.mem_wall_fraction != mwf:
-                    self._record(
-                        "rate-coherence", "model",
-                        f"cached rate (speed={core.speed!r}, "
-                        f"mem_wall={core.mem_wall_fraction!r}) != re-derived "
-                        f"(speed={speed!r}, mem_wall={mwf!r})",
-                        time_s=now, socket=s, core=core.index,
-                    )
+        rates = rederive_rates(node, ref_demand, busy_total)
+        for core in node.cores:
+            self._tally("rate-coherence")
+            speed, mwf = rates[core.index]
+            if core.speed != speed or core.mem_wall_fraction != mwf:
+                self._record(
+                    "rate-coherence", "model",
+                    f"cached rate (speed={core.speed!r}, "
+                    f"mem_wall={core.mem_wall_fraction!r}) != re-derived "
+                    f"(speed={speed!r}, mem_wall={mwf!r})",
+                    time_s=now, socket=core.socket, core=core.index,
+                )
 
     # ------------------------------------------------------------------
     def _check_core(self, node, core, now):

@@ -36,6 +36,9 @@ BASE_SPECS: tuple[RunSpec, ...] = (
         "nqueens", "gcc", "O2", threads=16, warm=False,
         label="nqueens cold start",
     ),
+    # Coherence penalty > 0: the rate branch whose stretch depends on the
+    # node-wide busy count, priced in the node's fused rate-and-power loop.
+    RunSpec("reduction", "gcc", "O2", threads=16, label="reduction gcc/O2 t16"),
 )
 
 #: Metering-layer runs: the counter-model backend must stay inside its
@@ -67,8 +70,9 @@ METER_SPECS: tuple[RunSpec, ...] = (
 #: meters feed a live control loop.
 _FAULT_APP = "dijkstra"
 
-#: Quick subset: one plain, one throttled, one cold, two fault classes.
-_QUICK_BASE = (BASE_SPECS[0], BASE_SPECS[4], BASE_SPECS[6])
+#: Quick subset: one plain, one throttled, one cold, one coherence-bound,
+#: two fault classes.
+_QUICK_BASE = (BASE_SPECS[0], BASE_SPECS[4], BASE_SPECS[6], BASE_SPECS[7])
 _QUICK_PROFILES = ("flaky-msr", "stall")
 
 

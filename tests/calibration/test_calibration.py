@@ -29,6 +29,7 @@ from repro.calibration.fit import (
 )
 from repro.calibration.paper_data import SPEEDUP16
 from repro.errors import CalibrationError, UnknownApplicationError
+from repro.hw.core import Segment
 
 
 # -------------------------------------------------------------- paper data
@@ -193,6 +194,31 @@ def test_profile_segments_carry_character():
     assert seg.contention_exponent == profile.alpha
     serial = profile.serial_work(0.1)
     assert serial.mem_fraction == profile.shape.mu_serial
+
+
+def test_profile_segments_equal_validated_construction():
+    """``work``/``serial_work`` skip re-validating the per-phase constants;
+    their segments must equal the ones the validating constructor builds."""
+    profile = get_profile("bots-strassen", "maestro", "O3")
+    for phase in range(profile.num_phases):
+        assert profile.work(0.25, phase, tag="x") == Segment(
+            0.25, profile.phase_mu(phase), profile.phase_power_scale(phase),
+            profile.alpha, profile.shape.coherence, "x",
+        )
+        assert profile.work(0.25, phase).tag == f"bots-strassen:p{phase}"
+    assert profile.serial_work(0.5) == Segment(
+        0.5, profile.shape.mu_serial, profile.power_scale, profile.alpha,
+        0.0, "bots-strassen:serial",
+    )
+
+
+@pytest.mark.parametrize("solo", [-1.0, math.nan, math.inf])
+def test_profile_segments_check_each_duration(solo):
+    profile = get_profile("reduction", "gcc", "O2")
+    with pytest.raises(ValueError, match="^solo_seconds must be (>= 0|finite)"):
+        profile.work(solo)
+    with pytest.raises(ValueError, match="^solo_seconds must be (>= 0|finite)"):
+        profile.serial_work(solo)
 
 
 def test_profile_unknown_combinations():

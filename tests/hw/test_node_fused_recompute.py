@@ -1,0 +1,120 @@
+"""The node's fused rate-and-power loop against memo-free references.
+
+``Node._recompute`` derives each busy core's speed and
+``mem_wall_fraction`` and prices the core's power term in one walk per
+dirty socket.  These properties drive it directly over random machine
+states — every core state, modulated duty, coherence segments on both
+sockets, a different temperature per socket — and require, bit for bit:
+
+* each ``_socket_power[s]`` equals :func:`reference_socket_power_w` on a
+  fresh power model at the socket's current temperature;
+* each core's rate equals the invariant checker's from-scratch
+  re-derivation (:func:`repro.validate.checker.rederive_rates`);
+* each socket's cached contention state equals the re-derived demand.
+
+A second recompute after the temperatures move, with only some sockets
+marked dirty, checks the two pricing paths side by side: dirty sockets
+through the fused loop, clean ones through ``socket_power_w``.
+"""
+
+from __future__ import annotations
+
+from hypothesis import given, strategies as st
+
+from repro.hw.core import CoreState, Segment
+from repro.hw.node import Node
+from repro.hw.power import reference_socket_power_w
+from repro.sim.engine import Engine
+from repro.validate.checker import rederive_contention, rederive_rates
+
+_CORES = Node(Engine(), warm=False).topology.total_cores
+_SOCKETS = Node(Engine(), warm=False).config.sockets
+
+_duty = st.one_of(
+    st.sampled_from([1.0, 1.0 / 32, 0.5, 0.875]),
+    st.floats(min_value=1.0 / 32, max_value=1.0),
+)
+_segment = st.builds(
+    Segment,
+    st.floats(min_value=0.0, max_value=5.0),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.3, max_value=2.5),
+    st.one_of(st.none(), st.floats(min_value=1.0, max_value=3.5)),
+    st.one_of(st.just(0.0), st.floats(min_value=1e-4, max_value=0.2)),
+)
+_core = st.tuples(
+    st.sampled_from(
+        [CoreState.OFF, CoreState.IDLE, CoreState.SPIN, CoreState.BUSY,
+         CoreState.BUSY, CoreState.BUSY]
+    ),
+    _duty,
+    _segment,
+)
+_temps = st.lists(
+    st.floats(min_value=20.0, max_value=98.0), min_size=_SOCKETS, max_size=_SOCKETS
+)
+
+
+def _build(cores, temps) -> Node:
+    node = Node(Engine(), warm=False)
+    for core, (state, duty, seg) in zip(node.cores, cores):
+        core.state = state
+        core.duty = duty
+        if state is CoreState.BUSY:
+            core.segment = seg
+            core.remaining = seg.solo_seconds
+    for therm, temp in zip(node.thermal, temps):
+        therm._temp_degc = temp
+    node._rate_dirty = [True] * node.config.sockets
+    return node
+
+
+def _assert_matches_references(node: Node) -> None:
+    ref_demand, busy_total = rederive_contention(node)
+    rates = rederive_rates(node, ref_demand, busy_total)
+    for core in node.cores:
+        assert (core.speed, core.mem_wall_fraction) == rates[core.index], core
+    knee = node.config.memory.knee_refs
+    for s in range(node.config.sockets):
+        demand = ref_demand[s]
+        bw_util = 0.0 if demand <= 0 else min(1.0, demand / knee)
+        mem = node._mem_state[s]
+        assert (mem.demand, mem.bw_util) == (demand, bw_util)
+        temp = node.thermal[s].temp_degc
+        assert node._power_temp[s] == temp
+        ref = reference_socket_power_w(
+            node.config.power, node._socket_cores[s], bw_util, temp
+        )
+        assert node._socket_power[s] == ref, (s, node._socket_power[s], ref)
+
+
+@given(
+    cores=st.lists(_core, min_size=_CORES, max_size=_CORES),
+    temps=_temps,
+    moved=_temps,
+    redirty=st.lists(st.booleans(), min_size=_SOCKETS, max_size=_SOCKETS),
+)
+def test_fused_recompute_matches_memo_free_references(cores, temps, moved, redirty):
+    node = _build(cores, temps)
+    node._recompute()
+    _assert_matches_references(node)
+
+    for therm, temp in zip(node.thermal, moved):
+        therm._temp_degc = temp
+    node._rate_dirty = list(redirty)
+    node._recompute()
+    _assert_matches_references(node)
+
+
+def test_coherence_on_both_sockets_stretches_by_node_wide_busy_count():
+    """The fused loop's sigma uses the busy count of the whole node."""
+    seg = Segment(1.0, 0.5, coherence_penalty=0.1)
+    cores = [(CoreState.BUSY, 1.0, seg)] * 2 + [(CoreState.IDLE, 1.0, seg)] * (_CORES - 2)
+    cores[_CORES - 1] = (CoreState.BUSY, 1.0, seg)  # last core: other socket
+    node = _build(cores, [60.0, 70.0])
+    node._recompute()
+    _assert_matches_references(node)
+    # Three busy cores node-wide: sigma = 1 + 0.1 * 2 for every one of them.
+    wall = 0.5 + 0.5 * (1.0 + 0.1 * 2)
+    assert node.cores[0].speed == 1.0 / wall
+    assert node.cores[_CORES - 1].speed == 1.0 / wall

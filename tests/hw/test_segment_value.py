@@ -1,5 +1,6 @@
 """``Segment`` as an immutable value: validation, immutability, pickling."""
 
+import math
 import pickle
 
 import pytest
@@ -42,6 +43,31 @@ def test_segment_attributes_cannot_be_assigned(field):
 def test_segment_rejects_each_invalid_field(kwargs, message):
     args = {"solo_seconds": 1.0, **kwargs}
     with pytest.raises(ValueError, match=message):
+        Segment(**args)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("solo_seconds", math.nan),
+    ("solo_seconds", math.inf),
+    ("mem_fraction", math.nan),
+    ("power_scale", math.nan),
+    ("power_scale", math.inf),
+    ("contention_exponent", math.nan),
+    ("contention_exponent", math.inf),
+    ("coherence_penalty", math.nan),
+    ("coherence_penalty", math.inf),
+])
+def test_segment_rejects_nan_and_inf(field, value):
+    """A NaN passes every ``<`` guard; the range checks must still refuse it.
+
+    A NaN duration beside another busy core would be clamped to 0 at the
+    next sync and "complete" with NaN work; alone it schedules no
+    completion at all.  A NaN power scale surfaces only later, as a
+    non-finite RAPL increment.
+    """
+    args = {"solo_seconds": 1.0, field: value}
+    bound = "finite" if value == math.inf else "(>=|positive|in)"
+    with pytest.raises(ValueError, match=f"^{field} must be {bound}"):
         Segment(**args)
 
 

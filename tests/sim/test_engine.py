@@ -1,9 +1,12 @@
 """Discrete-event engine: ordering, cancellation, determinism."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import SimulationError
+from repro.sim.clock import Clock
 from repro.sim.engine import Engine
 from repro.sim.events import Priority
 
@@ -38,6 +41,30 @@ def test_cannot_schedule_into_the_past():
         eng.schedule_at(0.5, lambda: None)
     with pytest.raises(SimulationError):
         eng.schedule(-0.1, lambda: None)
+
+
+@pytest.mark.parametrize("entry", ["schedule", "schedule_at"])
+def test_nan_times_are_refused(entry):
+    """NaN compares false against everything, so a plain ``t < now`` guard
+    let it in: a NaN event fired between its neighbours at ``now == nan``."""
+    eng = Engine()
+    fired = []
+    eng.schedule(1.0, lambda: fired.append(("a", eng.now)))
+    with pytest.raises(SimulationError):
+        getattr(eng, entry)(math.nan, lambda: fired.append(("nan", eng.now)))
+    eng.schedule(2.0, lambda: fired.append(("b", eng.now)))
+    eng.run()
+    assert fired == [("a", 1.0), ("b", 2.0)]
+    assert eng.pending == 0
+
+
+def test_clock_refuses_nan():
+    clock = Clock(1.0)
+    with pytest.raises(SimulationError):
+        clock.advance_to(math.nan)
+    assert clock.now == 1.0
+    with pytest.raises(SimulationError):
+        Clock(math.nan)
 
 
 def test_cancelled_events_do_not_fire():
