@@ -24,9 +24,11 @@ test-cosched:
 test-faults:
 	$(PYTHON) -m pytest tests/ -m faults
 
-# Golden-trace bit-identity suite: canonical runs vs pinned digests
-# (tests/sim/golden_digests.json).  To intentionally re-pin after a
-# behavior change: python -m repro.perf.golden --update
+# Bit-identity guards in one command: the golden traces (canonical runs
+# vs tests/sim/golden_digests.json), the cluster, fitted-profile and
+# analytic-sched pins, and the node's fused recompute against its
+# memo-free references.  To intentionally re-pin the golden traces after
+# a behavior change: python -m repro.perf.golden --update
 test-golden:
 	$(PYTHON) -m pytest tests/ -m golden
 

@@ -55,7 +55,8 @@ def encode_clock_modulation(duty: float, *, steps: int = 32) -> int:
     modulation entirely (enable bit clear), which is how the runtime
     restores full speed.
     """
-    if duty <= 0:
+    # Inverted so NaN, which fails every comparison, is refused here too.
+    if not duty > 0:
         raise ValueError(f"duty must be positive, got {duty!r}")
     if duty >= 1.0:
         return 0
@@ -133,17 +134,10 @@ class MSRFile:
     # ------------------------------------------------------------------
     # access (client side)
     # ------------------------------------------------------------------
-    @staticmethod
-    def _check_privilege(privileged: bool, what: str) -> None:
-        if not privileged:
-            raise MSRPermissionError(
-                f"{what} requires supervisor (kernel) permission; "
-                "run the daemon as root (paper, footnote 3)"
-            )
-
     def read_core(self, core: int, address: int, *, privileged: bool = False) -> int:
         """Read a per-core MSR."""
-        self._check_privilege(privileged, f"rdmsr core={core} addr={address:#x}")
+        if not privileged:
+            raise _refused(f"rdmsr core={core} addr={address:#x}")
         entry = self._core_regs.get((core, address))
         if entry is None or entry[0] is None:
             raise MSRAddressError(f"unmapped core MSR {address:#x} on core {core}")
@@ -151,7 +145,8 @@ class MSRFile:
 
     def write_core(self, core: int, address: int, value: int, *, privileged: bool = False) -> None:
         """Write a per-core MSR."""
-        self._check_privilege(privileged, f"wrmsr core={core} addr={address:#x}")
+        if not privileged:
+            raise _refused(f"wrmsr core={core} addr={address:#x}")
         entry = self._core_regs.get((core, address))
         if entry is None or entry[1] is None:
             raise MSRAddressError(f"core MSR {address:#x} on core {core} is not writable")
@@ -159,7 +154,8 @@ class MSRFile:
 
     def read_package(self, socket: int, address: int, *, privileged: bool = False) -> int:
         """Read a per-package MSR."""
-        self._check_privilege(privileged, f"rdmsr pkg={socket} addr={address:#x}")
+        if not privileged:
+            raise _refused(f"rdmsr pkg={socket} addr={address:#x}")
         entry = self._pkg_regs.get((socket, address))
         if entry is None or entry[0] is None:
             raise MSRAddressError(f"unmapped package MSR {address:#x} on socket {socket}")
@@ -167,8 +163,21 @@ class MSRFile:
 
     def write_package(self, socket: int, address: int, value: int, *, privileged: bool = False) -> None:
         """Write a per-package MSR."""
-        self._check_privilege(privileged, f"wrmsr pkg={socket} addr={address:#x}")
+        if not privileged:
+            raise _refused(f"wrmsr pkg={socket} addr={address:#x}")
         entry = self._pkg_regs.get((socket, address))
         if entry is None or entry[1] is None:
             raise MSRAddressError(f"package MSR {address:#x} on socket {socket} is not writable")
         entry[1](value)
+
+
+def _refused(what: str) -> MSRPermissionError:
+    """The error for an unprivileged access; ``what`` names the access.
+
+    Callers format ``what`` only on the refused path: the daemon's
+    privileged reads are on the hot path and never need it.
+    """
+    return MSRPermissionError(
+        f"{what} requires supervisor (kernel) permission; "
+        "run the daemon as root (paper, footnote 3)"
+    )

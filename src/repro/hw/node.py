@@ -13,8 +13,12 @@ core changes state, a duty cycle commits).  Every mutation therefore runs:
    since the last sync and drain in-flight segments at the cached rates;
 2. the mutation itself, which marks the affected sockets dirty;
 3. a request for ``_recompute()`` — re-derive each dirty socket's
-   contention, then walk its cores once more, deriving each core's rate
-   and pricing its power term in the same loop, and reschedule the next
+   contention, then walk each socket's cores once more: a dirty socket's
+   walk derives each core's rate, and every walk prices the core's power
+   term and finds the socket's earliest segment completion in the same
+   loop.  A clean socket is walked only when time advanced or its
+   temperature moved; otherwise its price and earliest completion are
+   reused.  The node-wide earliest completion reschedules the
    segment-completion event.  Inside an engine callback the request is
    deferred to the end of the event
    (:meth:`~repro.sim.engine.Engine.defer`), so the node re-derives
@@ -67,6 +71,12 @@ from repro.sim.events import Priority
 #: Segments whose remaining wall time is below this are treated as
 #: complete, batching near-simultaneous completions into one event.
 _COMPLETION_EPS_S = 1e-12
+
+
+def _check_duty(duty: float) -> None:
+    """Refuse a duty cycle outside ``(0, 1]``; NaN fails the comparison."""
+    if not (0.0 < duty <= 1.0):
+        raise SimulationError(f"duty must be in (0,1], got {duty!r}")
 
 
 class Node:
@@ -123,7 +133,16 @@ class Node:
         self._busy_in_socket: list[int] = [0] * config.sockets
         self._coh_in_socket: list[int] = [0] * config.sockets
         self._power_temp: list[Optional[float]] = [None] * config.sockets
+        #: Each socket's earliest ``remaining / speed`` over its busy
+        #: cores, valid at ``_recompute_now`` while the socket stays clean.
+        self._socket_dt_min: list[float] = [math.inf] * config.sockets
         self._recompute_now: Optional[float] = None
+        # Thermal constants of the sync step, read once: every socket
+        # shares the config, so one ``exp`` per sync serves them all.
+        tcfg = config.thermal
+        self._tau_s = tcfg.time_constant_s
+        self._ambient_degc = tcfg.ambient_degc
+        self._r_degc_per_w = tcfg.r_degc_per_w
         #: A deferred :meth:`_flush` is queued on the engine for this event.
         self._flush_pending = False
         #: Optional attribution of active-core energy to segment tags
@@ -247,19 +266,38 @@ class Node:
 
         Runs on every MSR read and before every mutation, so the loop
         bodies are written flat: state constants and per-interval products
-        are hoisted, and each core takes exactly one state dispatch.  The
-        arithmetic (and its order) is unchanged.
+        are hoisted, each socket's RAPL, counter and RC-thermal updates
+        are inlined (the thermal decay ``exp(-dt/tau)`` is computed once
+        for all sockets), and each core takes exactly one state dispatch.
+        The arithmetic is that of :func:`~repro.hw.thermal.rc_step` and the
+        counter definitions, operation for operation.
         """
         now = self.engine.now
         dt = now - self._last_sync
         if dt <= 0.0:
             return
-        for s in range(self.config.sockets):
-            power = self._socket_power[s]
-            mem = self._mem_state[s]
-            self.rapl[s].add_energy(power * dt)
-            self.counters[s].accumulate(mem.demand, mem.bw_util, power, dt)
-            self.thermal[s].advance(power, dt)
+        decay = math.exp(-dt / self._tau_s)
+        ambient = self._ambient_degc
+        r_degc_per_w = self._r_degc_per_w
+        for power, mem, rapl, counters, therm in zip(
+            self._socket_power, self._mem_state, self.rapl, self.counters,
+            self.thermal,
+        ):
+            joules = power * dt
+            # Negative energy would mean a corrupted power term; the
+            # inverted comparison also rejects NaN, which would silently
+            # poison the accumulator.
+            if not joules >= 0.0:
+                raise SimulationError(
+                    f"energy increment must be finite and >= 0, got {joules!r}"
+                )
+            rapl.energy_j += joules
+            counters.demand_integral += mem.demand * dt
+            counters.bw_util_integral += mem.bw_util * dt
+            counters.power_integral_j += joules
+            counters.elapsed_s += dt
+            t_eq = ambient + power * r_degc_per_w
+            therm.temp_degc = t_eq + (therm.temp_degc - t_eq) * decay
         # dt * freq is the same product for every core; aperf's
         # ``dt * freq * duty`` associates left, so ``dtf * duty`` is the
         # identical float.
@@ -315,21 +353,30 @@ class Node:
     def _recompute(self) -> None:
         """Recompute contention, rates and power; reschedule completion.
 
-        Memoized: only sockets marked dirty by a mutator are re-derived,
-        in two walks over their cores.  The first sums each socket's memory
-        demand and busy count; it must finish for every dirty socket first,
-        because a coherence segment's stretch depends on the node-wide busy
-        total.  The second is one fused walk that derives each core's speed
-        and ``mem_wall_fraction`` and prices its power term on the spot,
-        keeping :meth:`~repro.hw.power.PowerModel.socket_power_w`'s
-        summation order (uncore times leakage, the cores in index order,
-        bandwidth last), so the socket's power is the same float.  A clean
-        socket re-prices through ``socket_power_w`` only when its die
-        temperature moved since it was last priced (exact float
-        comparison).  A clean socket's cached values are exactly what a
-        full pass would recompute from the unchanged inputs, so skipping it
-        cannot change a single bit of simulator output.  The inlined
-        arithmetic reproduces the :class:`~repro.hw.memory.MemoryModel` and
+        Memoized: only sockets marked dirty by a mutator are re-derived.
+        The first walk sums each dirty socket's memory demand and busy
+        count; it must finish for every dirty socket first, because a
+        coherence segment's stretch depends on the node-wide busy total.
+        The second is one walk per socket that prices the socket's power
+        and finds its earliest segment completion, the minimum of
+        ``remaining / speed`` over its busy cores; on a dirty socket the
+        same walk first derives each core's speed and
+        ``mem_wall_fraction``.
+
+        Power is summed in :meth:`~repro.hw.power.PowerModel.socket_power_w`'s
+        order (uncore times leakage, the cores in index order, bandwidth
+        last) with the leakage factor computed once per pricing, so each
+        socket's power is the float that method returns.  A clean socket
+        is walked only when time advanced since the last recompute (its
+        cores drained, so their completion times moved) or its die
+        temperature moved (exact float comparison); otherwise its cached
+        price and earliest completion are exact and reused.  The reuse is
+        keyed on time, not temperature: at the steady-state temperature
+        time advances while the temperature stays the same float.  The
+        minimum over a set of floats does not depend on visiting order, so
+        the completion time is the one a walk over every core finds.  The
+        inlined arithmetic reproduces the
+        :class:`~repro.hw.memory.MemoryModel` and
         :class:`~repro.hw.power.PowerModel` methods operation for operation
         (validation checks elided — every input was validated when the
         segment/duty was accepted).
@@ -339,7 +386,8 @@ class Node:
         thermal = self.thermal
         power_temp = self._power_temp
         sockets = self.config.sockets
-        if now == self._recompute_now and True not in dirty:
+        same_instant = now == self._recompute_now
+        if same_instant and True not in dirty:
             # Nothing mutated and time has not advanced; power is still
             # current unless something (warm_up, a test) moved a
             # temperature out from under us.
@@ -381,8 +429,9 @@ class Node:
                 bw_util=0.0 if demand <= 0 else min(1.0, demand / knee),
             )
         busy_total = sum(busy_in)
-        pm = self.power_model
-        pcfg = pm.config
+        pcfg = self.power_model.config
+        leak_per_degc = pcfg.leakage_per_degc
+        leak_ref_degc = pcfg.leakage_ref_degc
         uncore_w = pcfg.uncore_w
         idle_w = pcfg.core_idle_w
         base_w = pcfg.core_active_base_w
@@ -392,76 +441,106 @@ class Node:
         idle_state = CoreState.IDLE
         off_state = CoreState.OFF
         socket_power = self._socket_power
+        socket_dt_min = self._socket_dt_min
+        dt_min = math.inf
         for s in range(sockets):
             temp = thermal[s].temp_degc
-            if not dirty[s]:
-                if temp != power_temp[s]:
-                    socket_power[s] = pm.socket_power_w(
-                        socket_cores[s], mem_state[s].bw_util, temp
-                    )
-                    power_temp[s] = temp
+            rates_dirty = dirty[s]
+            if not rates_dirty and same_instant and temp == power_temp[s]:
+                socket_min = socket_dt_min[s]
+                if socket_min < dt_min:
+                    dt_min = socket_min
                 continue
-            mem = mem_state[s]
-            demand_s = mem.demand
-            stretch_s = mem.stretch
-            leak = pm.leakage_factor(temp)
+            # PowerModel.leakage_factor: ``max(0.1, factor)``.
+            leak = 1.0 + leak_per_degc * (temp - leak_ref_degc)
+            if not leak > 0.1:
+                leak = 0.1
             base_leak = base_w * leak
             total = uncore_w * leak
-            for core in socket_cores[s]:
-                state = core.state
-                seg = core.segment
-                if state is busy_state and seg is not None:
-                    exponent = seg.contention_exponent
-                    if demand_s <= knee:
-                        sigma = 1.0
-                    elif exponent is None:
-                        sigma = stretch_s
+            socket_min = math.inf
+            if rates_dirty:
+                mem = mem_state[s]
+                demand_s = mem.demand
+                stretch_s = mem.stretch
+                for core in socket_cores[s]:
+                    state = core.state
+                    seg = core.segment
+                    if state is busy_state and seg is not None:
+                        exponent = seg.contention_exponent
+                        if demand_s <= knee:
+                            sigma = 1.0
+                        elif exponent is None:
+                            sigma = stretch_s
+                        else:
+                            sigma = (demand_s / knee) ** exponent
+                        # Coherence ping-pong is node-wide and knee-free:
+                        # every other busy core adds sharing latency.
+                        if seg.coherence_penalty > 0.0 and busy_total > 1:
+                            sigma += seg.coherence_penalty * (busy_total - 1)
+                        mu = seg.mem_fraction
+                        duty = core.duty
+                        wall_stretch = (1.0 - mu) / duty + mu * sigma
+                        mu_wall = (mu * sigma) / wall_stretch if wall_stretch > 0 else 0.0
+                        speed = 1.0 / wall_stretch
+                        core.speed = speed
+                        core.mem_wall_fraction = mu_wall
+                        total += seg.power_scale * (
+                            base_leak + (cpu_w * duty * (1.0 - mu_wall) + stall_w * mu_wall)
+                        )
+                        if speed > 0.0:
+                            dt = core.remaining / speed
+                            if dt < socket_min:
+                                socket_min = dt
                     else:
-                        sigma = (demand_s / knee) ** exponent
-                    # Coherence ping-pong is node-wide and knee-free: every
-                    # other busy core adds sharing latency.
-                    if seg.coherence_penalty > 0.0 and busy_total > 1:
-                        sigma += seg.coherence_penalty * (busy_total - 1)
-                    mu = seg.mem_fraction
-                    duty = core.duty
-                    wall_stretch = (1.0 - mu) / duty + mu * sigma
-                    mu_wall = (mu * sigma) / wall_stretch if wall_stretch > 0 else 0.0
-                    core.speed = 1.0 / wall_stretch
-                    core.mem_wall_fraction = mu_wall
-                    total += seg.power_scale * (
-                        base_leak + (cpu_w * duty * (1.0 - mu_wall) + stall_w * mu_wall)
-                    )
-                else:
-                    core.speed = 0.0
-                    core.mem_wall_fraction = 0.0
-                    if state is idle_state:
+                        core.speed = 0.0
+                        core.mem_wall_fraction = 0.0
+                        if state is idle_state:
+                            total += idle_w * leak
+                        elif state is not off_state:
+                            # SPIN.  A segment-less BUSY core prices as
+                            # ``1.0 * (base_leak + cpu_w*duty*(1.0-0.0) +
+                            # stall_w*0.0)`` in socket_power_w: the same
+                            # float.
+                            total += base_leak + cpu_w * core.duty
+                        # OFF contributes exactly 0.0; skipping the add
+                        # leaves the (strictly positive) total bit-identical.
+                dirty[s] = False
+            else:
+                # Rates are current: price with the cached speeds and
+                # mem_wall_fractions, and re-find the earliest completion.
+                for core in socket_cores[s]:
+                    state = core.state
+                    seg = core.segment
+                    if state is busy_state and seg is not None:
+                        mu_wall = core.mem_wall_fraction
+                        total += seg.power_scale * (
+                            base_leak
+                            + (cpu_w * core.duty * (1.0 - mu_wall) + stall_w * mu_wall)
+                        )
+                        speed = core.speed
+                        if speed > 0.0:
+                            dt = core.remaining / speed
+                            if dt < socket_min:
+                                socket_min = dt
+                    elif state is idle_state:
                         total += idle_w * leak
                     elif state is not off_state:
-                        # SPIN.  A segment-less BUSY core prices as
-                        # ``1.0 * (base_leak + cpu_w*duty*(1.0-0.0) +
-                        # stall_w*0.0)`` in socket_power_w: the same float.
                         total += base_leak + cpu_w * core.duty
-                    # OFF contributes exactly 0.0; skipping the add leaves
-                    # the (strictly positive) total bit-identical.
             # bw_util is already in [0, 1], so socket_power_w's clamp is
             # the identity on it.
-            socket_power[s] = total + bandwidth_w * mem.bw_util
+            socket_power[s] = total + bandwidth_w * mem_state[s].bw_util
             power_temp[s] = temp
-            dirty[s] = False
+            socket_dt_min[s] = socket_min
+            if socket_min < dt_min:
+                dt_min = socket_min
         self._recompute_now = now
-        self._schedule_completion()
+        self._schedule_completion(dt_min)
 
-    def _schedule_completion(self) -> None:
+    def _schedule_completion(self, dt_min: float) -> None:
+        """Replace the pending completion event with one ``dt_min`` from now."""
         if self._completion is not None:
             self._completion.cancel()
             self._completion = None
-        dt_min = math.inf
-        busy = CoreState.BUSY
-        for core in self.cores:
-            if core.state is busy and core.speed > 0.0:
-                dt = core.remaining / core.speed
-                if dt < dt_min:
-                    dt_min = dt
         if math.isinf(dt_min):
             return
         self._completion = self.engine.schedule(
@@ -553,6 +632,8 @@ class Node:
 
     def set_spin(self, core_index: int, duty: Optional[float] = None) -> None:
         """Put a core into the throttled spin loop (clocked, no work)."""
+        if duty is not None:
+            _check_duty(duty)
         core = self.cores[core_index]
         if core.state is CoreState.BUSY:
             raise SimulationError(f"core {core_index} is busy; cannot spin")
@@ -573,8 +654,7 @@ class Node:
         The MSR write path models the actuation latency and then calls
         this; tests and the DVFS ablation may call it directly.
         """
-        if not (0.0 < duty <= 1.0):
-            raise SimulationError(f"duty must be in (0,1], got {duty!r}")
+        _check_duty(duty)
         self._sync()
         core = self.cores[core_index]
         core.duty = duty

@@ -18,12 +18,19 @@ Per core: busy/spin time, completed solo-work, completed segment count
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
+
+_new_tuple = tuple.__new__
 
 
 @dataclass
 class SocketCounters:
-    """Time-integrated per-socket counters."""
+    """Time-integrated per-socket counters.
+
+    The node's sync step folds each piecewise-constant interval into the
+    integrals in place.
+    """
 
     #: Integral of outstanding-reference demand over time (refs * s).
     demand_integral: float = 0.0
@@ -35,16 +42,8 @@ class SocketCounters:
     #: Wall time covered by the integrals (s).
     elapsed_s: float = 0.0
 
-    def accumulate(self, demand: float, bw_util: float, power_w: float, dt: float) -> None:
-        """Fold one piecewise-constant interval into the integrals."""
-        self.demand_integral += demand * dt
-        self.bw_util_integral += bw_util * dt
-        self.power_integral_j += power_w * dt
-        self.elapsed_s += dt
 
-
-@dataclass(frozen=True)
-class CounterSnapshot:
+class CounterSnapshot(NamedTuple):
     """Immutable copy of a socket's counters, used for window deltas."""
 
     demand_integral: float
@@ -53,8 +52,7 @@ class CounterSnapshot:
     elapsed_s: float
 
 
-@dataclass
-class WindowDelta:
+class WindowDelta(NamedTuple):
     """Averages over a window between two snapshots."""
 
     avg_demand: float = 0.0
@@ -63,14 +61,19 @@ class WindowDelta:
     elapsed_s: float = 0.0
 
 
+_EMPTY_WINDOW = WindowDelta()
+
+
 def snapshot(counters: SocketCounters) -> CounterSnapshot:
     """Capture the current integral values."""
-    return CounterSnapshot(
-        demand_integral=counters.demand_integral,
-        bw_util_integral=counters.bw_util_integral,
-        power_integral_j=counters.power_integral_j,
-        elapsed_s=counters.elapsed_s,
-    )
+    # ``tuple.__new__`` directly: the daemon snapshots every socket on
+    # every tick, and the fields are plain floats already.
+    return _new_tuple(CounterSnapshot, (
+        counters.demand_integral,
+        counters.bw_util_integral,
+        counters.power_integral_j,
+        counters.elapsed_s,
+    ))
 
 
 def window_average(before: CounterSnapshot, after: CounterSnapshot) -> WindowDelta:
@@ -81,10 +84,10 @@ def window_average(before: CounterSnapshot, after: CounterSnapshot) -> WindowDel
     """
     dt = after.elapsed_s - before.elapsed_s
     if dt <= 0:
-        return WindowDelta()
-    return WindowDelta(
-        avg_demand=(after.demand_integral - before.demand_integral) / dt,
-        avg_bw_util=(after.bw_util_integral - before.bw_util_integral) / dt,
-        avg_power_w=(after.power_integral_j - before.power_integral_j) / dt,
-        elapsed_s=dt,
-    )
+        return _EMPTY_WINDOW
+    return _new_tuple(WindowDelta, (
+        (after.demand_integral - before.demand_integral) / dt,
+        (after.bw_util_integral - before.bw_util_integral) / dt,
+        (after.power_integral_j - before.power_integral_j) / dt,
+        dt,
+    ))

@@ -30,46 +30,31 @@ def reference_socket_power_w(
     bw_util: float,
     temp_degc: float,
 ) -> float:
-    """Memo-free socket power for differential checks.
+    """Socket power through :meth:`PowerModel.socket_power_w`, for checks.
 
-    Evaluates :meth:`PowerModel.socket_power_w` on a *fresh* model so no
-    cached leakage pair can mask a stale-memo bug.  The invariant checker
-    compares this against the node's cached ``_socket_power`` at the
+    The node prices its sockets with this arithmetic inlined in its rate
+    loop; this is the independent derivation.  The invariant checker
+    compares it against the node's cached ``_socket_power`` at the
     temperature the cache was priced at; the two must match bit for bit.
     """
     return PowerModel(config).socket_power_w(cores, bw_util, temp_degc)
 
 
 class PowerModel:
-    """Stateless power arithmetic for one socket.
-
-    The only state is a one-entry memo on :meth:`leakage_factor`: callers
-    evaluate it repeatedly at the *same* temperature (once per core during
-    a sync or a socket-power sum), and socket temperature only moves when
-    simulated time does, so the last ``(temp, factor)`` pair hits almost
-    every call within one integration step.  The memo returns the exact
-    float the formula would produce, so results are bit-identical.
-    """
+    """Stateless power arithmetic for one socket."""
 
     def __init__(self, config: PowerConfig) -> None:
         config.validate()
         self.config = config
-        self._leak_temp: float | None = None
-        self._leak_factor: float = 1.0
 
     def leakage_factor(self, temp_degc: float) -> float:
         """Leakage multiplier on static power at ``temp_degc``."""
-        if temp_degc == self._leak_temp:
-            return self._leak_factor
         factor = 1.0 + self.config.leakage_per_degc * (
             temp_degc - self.config.leakage_ref_degc
         )
         # Leakage cannot make static power negative no matter how cold the
         # model is driven in tests.
-        factor = max(0.1, factor)
-        self._leak_temp = temp_degc
-        self._leak_factor = factor
-        return factor
+        return max(0.1, factor)
 
     def core_power_w(self, core: Core, leak: float) -> float:
         """Instantaneous power of one core given the leakage factor."""
@@ -101,10 +86,9 @@ class PowerModel:
 
         Inlines :meth:`core_power_w` with the same per-core expressions and
         the same accumulation order, so the sum is bit-identical to calling
-        it in a loop.  The node prices a socket whose rates changed in its
-        fused rate loop, in this same order; it calls this method for a
-        clean socket whose temperature moved, and the invariant checker
-        uses it as the memo-free reference for both.
+        it in a loop.  The node prices every socket inline in its rate
+        walks, in this same order; the invariant checker uses this method
+        as the independent reference for those prices.
         """
         cfg = self.config
         leak = self.leakage_factor(temp_degc)

@@ -15,7 +15,6 @@ simulated power draw into an energy accumulator.  Two views exist:
 
 from __future__ import annotations
 
-from repro.errors import SimulationError
 from repro.units import (
     RAPL_COUNTER_MODULUS,
     RAPL_ENERGY_UNIT_J,
@@ -36,37 +35,23 @@ def expected_status(energy_j: float) -> int:
 
 
 class RaplDomain:
-    """Per-socket energy accumulator with an MSR-visible wrapped counter."""
+    """Per-socket energy accumulator with an MSR-visible wrapped counter.
 
-    __slots__ = ("socket", "_energy_j")
+    :attr:`energy_j` is the ground-truth accumulated energy in Joules
+    (never wraps).  The node's sync step adds ``power * dt`` to it and
+    refuses a negative or NaN increment before it reaches the total.
+    """
+
+    __slots__ = ("socket", "energy_j")
 
     def __init__(self, socket: int) -> None:
         self.socket = socket
-        self._energy_j = 0.0
-
-    @property
-    def energy_j(self) -> float:
-        """Ground-truth accumulated energy in Joules (never wraps)."""
-        return self._energy_j
-
-    def add_energy(self, joules: float) -> None:
-        """Accumulate ``joules`` of consumed energy.
-
-        Called by the node's synchronisation step with ``power * dt``.
-        Negative energy would mean the clock ran backwards (guarded at the
-        clock level) or a corrupted power term; the inverted comparison
-        also rejects NaN, which would silently poison the accumulator.
-        """
-        if not joules >= 0.0:
-            raise SimulationError(
-                f"energy increment must be finite and >= 0, got {joules!r}"
-            )
-        self._energy_j += joules
+        self.energy_j = 0.0
 
     def read_status(self) -> int:
         """Raw 32-bit MSR_PKG_ENERGY_STATUS value (15.3 uJ ticks, wrapped)."""
-        ticks = int(self._energy_j / RAPL_ENERGY_UNIT_J)
+        ticks = int(self.energy_j / RAPL_ENERGY_UNIT_J)
         return ticks % RAPL_COUNTER_MODULUS
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"RaplDomain(socket={self.socket}, energy_j={self._energy_j:.3f})"
+        return f"RaplDomain(socket={self.socket}, energy_j={self.energy_j:.3f})"

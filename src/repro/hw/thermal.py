@@ -24,49 +24,41 @@ from repro.config import ThermalConfig
 
 
 def rc_step(config: ThermalConfig, temp_degc: float, power_w: float, dt: float) -> float:
-    """Pure closed-form RC step: the exact arithmetic of :meth:`ThermalState.advance`.
+    """Pure closed-form RC step over ``dt`` seconds at constant power.
 
-    Factored out so the invariant checker (:mod:`repro.validate`) can
-    replay a socket's thermal trajectory with bit-identical floating-point
-    operations and compare against the live model.  ``dt`` must be > 0.
+    The node's sync step advances every socket with this arithmetic
+    inlined (one ``exp`` per sync, the time constant read once); the
+    invariant checker (:mod:`repro.validate`) replays each socket's
+    trajectory through this function as the independent reference and
+    compares bit for bit.  ``dt`` must be > 0.
     """
     t_eq = config.ambient_degc + power_w * config.r_degc_per_w
     return t_eq + (temp_degc - t_eq) * math.exp(-dt / config.time_constant_s)
 
 
 class ThermalState:
-    """Mutable per-socket die temperature."""
+    """Mutable per-socket die temperature.
 
-    __slots__ = ("config", "_temp_degc")
+    :attr:`temp_degc` is the current die temperature in degrees Celsius.
+    The node's sync step advances it by the RC law (see :func:`rc_step`).
+    """
+
+    __slots__ = ("config", "temp_degc")
 
     def __init__(self, config: ThermalConfig, *, initial_degc: float | None = None) -> None:
         config.validate()
         self.config = config
-        self._temp_degc = config.ambient_degc if initial_degc is None else float(initial_degc)
-
-    @property
-    def temp_degc(self) -> float:
-        """Current die temperature in degrees Celsius."""
-        return self._temp_degc
+        self.temp_degc = config.ambient_degc if initial_degc is None else float(initial_degc)
 
     def equilibrium_degc(self, power_w: float) -> float:
         """Steady-state temperature at constant power ``power_w``."""
         return self.config.ambient_degc + power_w * self.config.r_degc_per_w
 
-    def advance(self, power_w: float, dt: float) -> float:
-        """Advance the model ``dt`` seconds at constant power; returns new T."""
-        if dt < 0:
-            raise ValueError(f"dt must be >= 0, got {dt!r}")
-        if dt == 0.0:
-            return self._temp_degc
-        self._temp_degc = rc_step(self.config, self._temp_degc, power_w, dt)
-        return self._temp_degc
-
     def warm_to_steady_state(self, power_w: float) -> None:
         """Jump directly to equilibrium — models the paper's 'warm system'
         precondition ("All numbers reported here are from experiments run
         on a warm system", Section II-C)."""
-        self._temp_degc = self.equilibrium_degc(power_w)
+        self.temp_degc = self.equilibrium_degc(power_w)
 
     def therm_status_raw(self) -> int:
         """IA32_THERM_STATUS-style digital readout.
@@ -75,7 +67,7 @@ class ThermalState:
         bits 22:16; we produce the same encoding so the RCR daemon decodes
         it exactly as real tooling would.
         """
-        offset = max(0, round(self.config.tjmax_degc - self._temp_degc))
+        offset = max(0, round(self.config.tjmax_degc - self.temp_degc))
         return (min(offset, 0x7F) & 0x7F) << 16
 
     @staticmethod

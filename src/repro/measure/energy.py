@@ -37,8 +37,7 @@ the same modular delta, the same wrap count.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.errors import MeasurementError, MSRReadError
 from repro.hw.msr import MSR_PKG_ENERGY_STATUS, MSRFile
@@ -63,9 +62,12 @@ class SampleQuality(enum.IntEnum):
     WRAP_SUSPECT = 3
 
 
-@dataclass(frozen=True)
-class EnergySample:
-    """One hardened poll of a socket's energy counter."""
+class EnergySample(NamedTuple):
+    """One hardened poll of a socket's energy counter.
+
+    Tuple-backed: the readers build one per socket per daemon tick with
+    ``tuple.__new__``, their fields being valid by construction.
+    """
 
     #: Cumulative Joules since the reader was created (monotonic).
     total_joules: float
@@ -81,6 +83,9 @@ class EnergySample:
     def good(self) -> bool:
         """True when the sample is measured rather than estimated."""
         return self.quality in (SampleQuality.OK, SampleQuality.RETRIED)
+
+
+_new_tuple = tuple.__new__
 
 
 #: Minimum expected progress (ticks) before a repeated register value is
@@ -202,13 +207,13 @@ class EnergyReader:
         # _last_raw is left untouched: the next successful read computes
         # the true modular delta across the outage and _interp_ticks is
         # subtracted so the bridged energy is not counted twice.
-        return EnergySample(
-            total_joules=self.total_joules,
-            delta_ticks=delta,
-            quality=SampleQuality.INTERPOLATED,
-            retries=retries,
-            wraps=self._wraps,
-        )
+        return _new_tuple(EnergySample, (
+            self.total_joules,
+            delta,
+            SampleQuality.INTERPOLATED,
+            retries,
+            self._wraps,
+        ))
 
     def _ingest(
         self, raw: int, retries: int, window_s: Optional[float]
@@ -231,13 +236,13 @@ class EnergyReader:
             contribution = max(0, contribution - self._interp_ticks)
             self._interp_ticks = 0
             self._total_ticks += contribution
-            return EnergySample(
-                total_joules=self.total_joules,
-                delta_ticks=contribution,
-                quality=SampleQuality.WRAP_SUSPECT,
-                retries=retries,
-                wraps=self._wraps,
-            )
+            return _new_tuple(EnergySample, (
+                self.total_joules,
+                contribution,
+                SampleQuality.WRAP_SUSPECT,
+                retries,
+                self._wraps,
+            ))
 
         # Stuck-counter detection: no register progress over a window in
         # which the established rate predicts clearly-measurable energy.
@@ -253,13 +258,13 @@ class EnergyReader:
             self._total_ticks += est
             self._interp_ticks += est
             self.interpolated_polls += 1
-            return EnergySample(
-                total_joules=self.total_joules,
-                delta_ticks=est,
-                quality=SampleQuality.INTERPOLATED,
-                retries=retries,
-                wraps=self._wraps,
-            )
+            return _new_tuple(EnergySample, (
+                self.total_joules,
+                est,
+                SampleQuality.INTERPOLATED,
+                retries,
+                self._wraps,
+            ))
 
         # Clean (or merely retried) sample.
         self._last_raw = raw
@@ -275,13 +280,13 @@ class EnergyReader:
         if window_s is not None and window_s > 0 and delta > 0 and not reconciling:
             self._rate_ticks_per_s = delta / window_s
         quality = SampleQuality.RETRIED if retries > 0 else SampleQuality.OK
-        return EnergySample(
-            total_joules=self.total_joules,
-            delta_ticks=contribution,
-            quality=quality,
-            retries=retries,
-            wraps=self._wraps,
-        )
+        return _new_tuple(EnergySample, (
+            self.total_joules,
+            contribution,
+            quality,
+            retries,
+            self._wraps,
+        ))
 
 
 class MultiSocketEnergyReader:

@@ -49,6 +49,8 @@ from repro.measure.energy import (
 )
 from repro.units import joules_to_rapl_ticks, rapl_ticks_to_joules
 
+_new_tuple = tuple.__new__
+
 __all__ = [
     "MeterBackend",
     "RaplBackend",
@@ -226,13 +228,13 @@ class CounterModelBackend(MeterBackend):
             delta_ticks = joules_to_rapl_ticks(power_w * window_s)
             self._total_ticks[socket] += delta_ticks
         self.quality_histogram[SampleQuality.OK] += 1
-        return EnergySample(
-            total_joules=rapl_ticks_to_joules(self._total_ticks[socket]),
-            delta_ticks=delta_ticks,
-            quality=SampleQuality.OK,
-            retries=0,
-            wraps=0,
-        )
+        return _new_tuple(EnergySample, (
+            rapl_ticks_to_joules(self._total_ticks[socket]),
+            delta_ticks,
+            SampleQuality.OK,
+            0,
+            0,
+        ))
 
     def wraps(self, socket: int) -> int:
         return 0

@@ -62,21 +62,32 @@ class Compute:
     segment: Segment
 
 
-@dataclass(frozen=True)
 class Spawn:
     """Create a child task from a generator; sends back its Task handle.
 
     The child is pushed onto the spawning worker's shepherd queue (LIFO),
     costing ``spawn_overhead_cycles`` on the spawning core.
+
+    A slotted class rather than a frozen dataclass: task bodies yield one
+    per child (over a hundred thousand per sweep), and a frozen
+    dataclass's ``__init__`` pays an ``object.__setattr__`` per field.
     """
 
-    gen: TaskGen
-    label: str = ""
+    __slots__ = ("gen", "label")
+
+    def __init__(self, gen: TaskGen, label: str = "") -> None:
+        self.gen = gen
+        self.label = label
 
 
-@dataclass(frozen=True)
 class Taskwait:
-    """Block until all direct children spawned so far have completed."""
+    """Block until all direct children spawned so far have completed.
+
+    Slotted and field-less, like :class:`Spawn`; not a ``NamedTuple``,
+    since two field-less tuples of different operations compare equal.
+    """
+
+    __slots__ = ()
 
 
 @dataclass(frozen=True)

@@ -82,6 +82,9 @@ class Scheduler:
             shepherd.idle_workers.add(worker)
             self.workers.append(worker)
 
+        #: Workers in core-index order: the dispatch wake order.
+        self._workers_by_core = sorted(self.workers, key=lambda w: w.core_index)
+
         self.throttle_active = False
         self._dispatch_pending = False
 
@@ -118,11 +121,15 @@ class Scheduler:
         # Wake idle workers, preferring those whose own shepherd has work
         # (locality), then any other idle worker (they will steal).
         # Ordered by core index so wake order is deterministic (Python
-        # sets iterate in id-dependent order).
-        local_first = sorted(
-            (w for s in self.shepherds for w in list(s.idle_workers)),
-            key=lambda w: (0 if len(w.shepherd.queue) > 0 else 1, w.core_index),
-        )
+        # sets iterate in id-dependent order).  Both lists are taken
+        # before any seek() moves a worker or drains a queue.
+        workers = self._workers_by_core
+        local_first = [
+            w for w in workers if w in w.shepherd.idle_workers and w.shepherd.queue
+        ]
+        local_first += [
+            w for w in workers if w in w.shepherd.idle_workers and not w.shepherd.queue
+        ]
         for worker in local_first:
             if work <= 0:
                 break

@@ -10,8 +10,12 @@ changes the digest.
 
 import hashlib
 
+import pytest
+
 from repro.apps import APP_REGISTRY, app_profile
 from repro.errors import CalibrationError
+
+pytestmark = pytest.mark.golden
 
 CONFIGS = (("gcc", "O2"), ("gcc", "O3"), ("icc", "O2"), ("icc", "O3"),
            ("maestro", "O3"))

@@ -8,8 +8,10 @@ from repro.errors import MSRReadError
 from repro.faults import FaultInjector, parse_fault_spec
 from repro.hw.core import Segment
 from repro.hw.msr import MSRFile, MSR_PKG_ENERGY_STATUS
+from repro.hw.node import Node
 from repro.measure.energy import EnergyReader, SampleQuality
 from repro.rcr import Blackboard, RCRDaemon, meters
+from repro.sim.engine import Engine
 from repro.throttle import ThrottleController
 from repro.units import RAPL_COUNTER_MODULUS, RAPL_ENERGY_UNIT_J
 from tests.conftest import make_runtime
@@ -188,17 +190,16 @@ def test_quality_histogram_counts_every_poll():
 
 # -------------------------------------------- long-horizon wrap accounting
 def test_long_horizon_multi_wrap_matches_ground_truth():
-    """EnergyReader vs RaplDomain over ~4 counter wraps (satellite check)."""
-    from repro.hw.rapl import RaplDomain
-
-    dom = RaplDomain(0)
-    msr = MSRFile()
-    msr.map_package(0, MSR_PKG_ENERGY_STATUS, reader=dom.read_status)
-    reader = EnergyReader(msr, 0)
-    # ~30 kJ per poll, comfortably under half the ~65.7 kJ counter period.
+    """EnergyReader vs the node's RAPL domain over ~4 counter wraps."""
+    node = Node(Engine(), warm=False)
+    reader = EnergyReader(node.msr, 0)
+    # Nothing re-prices an idle node, so each step deposits ~30 kJ per
+    # poll, comfortably under half the ~65.7 kJ counter period.
+    step_s = 30_000.0 / node._socket_power[0]
     for _ in range(10):
-        dom.add_energy(30_000.0)
+        node.engine.run(until=node.engine.now + step_s)
         reader.poll()
+    dom = node.rapl[0]
     period_j = RAPL_COUNTER_MODULUS * RAPL_ENERGY_UNIT_J
     expected_wraps = int(dom.energy_j / period_j)
     assert expected_wraps == 4

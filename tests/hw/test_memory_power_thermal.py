@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.config import MemoryConfig, PowerConfig, ThermalConfig
+from repro.errors import SimulationError
 from repro.hw.core import Core, CoreState, Segment
 from repro.hw.memory import MemoryModel
+from repro.hw.node import Node
 from repro.hw.power import PowerModel
 from repro.hw.thermal import ThermalState
+from repro.sim.engine import Engine
 
 
 @pytest.fixture
@@ -169,38 +172,52 @@ def test_thermal_starts_at_ambient():
     assert therm.temp_degc == ThermalConfig().ambient_degc
 
 
+def _cold_node() -> Node:
+    """An idle node at ambient: each socket holds its priced idle power."""
+    return Node(Engine(), warm=False)
+
+
+def _advance(node: Node, dt: float) -> None:
+    """Move simulated time ``dt`` seconds on; no node query runs."""
+    node.engine.run(until=node.engine.now + dt)
+
+
 def test_thermal_relaxes_to_equilibrium():
-    cfg = ThermalConfig()
-    therm = ThermalState(cfg)
-    therm.advance(75.0, 1000.0)  # many time constants
-    assert therm.temp_degc == pytest.approx(therm.equilibrium_degc(75.0), abs=0.01)
+    node = _cold_node()
+    power = node._socket_power[0]
+    _advance(node, 1000.0)  # many time constants, one sync
+    assert node.temp_degc(0) == pytest.approx(
+        node.thermal[0].equilibrium_degc(power), abs=0.01
+    )
 
 
 def test_thermal_step_is_exact_exponential():
     cfg = ThermalConfig()
-    therm = ThermalState(cfg)
-    power, dt = 80.0, 3.0
-    t_eq = therm.equilibrium_degc(power)
+    node = _cold_node()
+    power, dt = node._socket_power[0], 3.0
+    t_eq = node.thermal[0].equilibrium_degc(power)
     expected = t_eq + (cfg.ambient_degc - t_eq) * math.exp(-dt / cfg.time_constant_s)
-    assert therm.advance(power, dt) == pytest.approx(expected)
+    _advance(node, dt)
+    assert node.temp_degc(0) == expected
 
 
 def test_thermal_split_steps_equal_single_step():
-    a = ThermalState(ThermalConfig())
-    b = ThermalState(ThermalConfig())
-    a.advance(100.0, 10.0)
+    a = _cold_node()
+    b = _cold_node()
+    _advance(a, 10.0)
     for _ in range(100):
-        b.advance(100.0, 0.1)
-    assert a.temp_degc == pytest.approx(b.temp_degc, rel=1e-9)
+        _advance(b, 0.1)
+        b.temp_degc(0)  # one sync per step
+    assert a.temp_degc(0) == pytest.approx(b.temp_degc(0), rel=1e-9)
 
 
 def test_thermal_zero_dt_is_noop():
-    therm = ThermalState(ThermalConfig())
-    before = therm.temp_degc
-    therm.advance(200.0, 0.0)
-    assert therm.temp_degc == before
-    with pytest.raises(ValueError):
-        therm.advance(100.0, -1.0)
+    node = _cold_node()
+    _advance(node, 1.0)
+    before = node.temp_degc(0)
+    assert node.temp_degc(0) == before  # second sync at the same instant
+    with pytest.raises(SimulationError):
+        node.engine.schedule(-1.0, lambda: None)  # time cannot run back
 
 
 def test_therm_status_roundtrip():

@@ -1,5 +1,7 @@
 """Node edge cases: state machine, duty interactions, accounting."""
 
+import math
+
 import pytest
 
 from repro.config import MachineConfig
@@ -24,6 +26,28 @@ def test_duty_bounds_checked(engine, node):
         node.set_duty(0, 0.0)
     with pytest.raises(SimulationError):
         node.set_duty(0, 1.5)
+
+
+@pytest.mark.parametrize("duty", [0.0, math.nan, 5.0, -1.0])
+def test_spin_duty_bounds_checked(engine, node, duty):
+    """``set_spin`` refuses what ``set_duty`` refuses, before any change.
+
+    A NaN duty would price the core at NaN Watts; a zero duty would
+    divide by zero once the core next runs a segment.
+    """
+    with pytest.raises(SimulationError, match="duty must be in"):
+        node.set_spin(0, duty=duty)
+    assert node.cores[0].state is CoreState.IDLE
+    assert node.cores[0].duty == 1.0
+
+
+def test_sync_refuses_nan_energy(engine, node):
+    """A NaN power term must not reach the RAPL accumulator."""
+    node._socket_power[0] = math.nan
+    engine.run(until=1.0)
+    with pytest.raises(SimulationError, match="energy increment"):
+        node.energy_j(0)
+    assert node.rapl[0].energy_j == 0.0
 
 
 def test_off_core_draws_nothing_and_heats_nothing(engine):

@@ -13,19 +13,37 @@ sockets, a different temperature per socket — and require, bit for bit:
 * each socket's cached contention state equals the re-derived demand.
 
 A second recompute after the temperatures move, with only some sockets
-marked dirty, checks the two pricing paths side by side: dirty sockets
-through the fused loop, clean ones through ``socket_power_w``.
+marked dirty, checks the two pricing walks side by side: dirty sockets
+through the fused rate loop, clean ones through the walk that re-prices
+with cached rates.  A third, at the same instant with the temperatures
+left alone, reuses the clean sockets' cached prices and minima.
+
+After every recompute the pending ``segment-complete`` event must sit at
+``now + min(remaining / speed)`` over the busy cores, found by brute
+force over the whole node.  Three fixed scenarios pin the cases the
+per-socket completion cache must get right: a clean socket's cached
+minimum reused at the same instant, a clean socket held at its
+equilibrium temperature while time advances (a cache keyed on
+temperature would reuse a stale minimum), and a clean socket re-priced
+after time moves.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
+import pytest
 from hypothesis import given, strategies as st
 
+from repro.config import PAPER_MACHINE
 from repro.hw.core import CoreState, Segment
 from repro.hw.node import Node
 from repro.hw.power import reference_socket_power_w
 from repro.sim.engine import Engine
 from repro.validate.checker import rederive_contention, rederive_rates
+
+pytestmark = pytest.mark.golden
 
 _CORES = Node(Engine(), warm=False).topology.total_cores
 _SOCKETS = Node(Engine(), warm=False).config.sockets
@@ -64,7 +82,7 @@ def _build(cores, temps) -> Node:
             core.segment = seg
             core.remaining = seg.solo_seconds
     for therm, temp in zip(node.thermal, temps):
-        therm._temp_degc = temp
+        therm.temp_degc = temp
     node._rate_dirty = [True] * node.config.sockets
     return node
 
@@ -88,22 +106,107 @@ def _assert_matches_references(node: Node) -> None:
         assert node._socket_power[s] == ref, (s, node._socket_power[s], ref)
 
 
+def _assert_completion_is_earliest(node: Node) -> None:
+    """The one live completion event sits at the brute-force minimum."""
+    dt_min = min(
+        (
+            core.remaining / core.speed
+            for core in node.cores
+            if core.state is CoreState.BUSY and core.speed > 0.0
+        ),
+        default=math.inf,
+    )
+    pending = [
+        event for _, _, _, event in node.engine._heap
+        if not event.cancelled and event.label == "segment-complete"
+    ]
+    if math.isinf(dt_min):
+        assert pending == []
+        return
+    assert len(pending) == 1
+    assert pending[0].time == node.engine.now + max(dt_min, 0.0)
+
+
+_dirty = st.lists(st.booleans(), min_size=_SOCKETS, max_size=_SOCKETS)
+
+
 @given(
     cores=st.lists(_core, min_size=_CORES, max_size=_CORES),
     temps=_temps,
     moved=_temps,
-    redirty=st.lists(st.booleans(), min_size=_SOCKETS, max_size=_SOCKETS),
+    redirty=_dirty,
+    again=_dirty,
 )
-def test_fused_recompute_matches_memo_free_references(cores, temps, moved, redirty):
+def test_fused_recompute_matches_memo_free_references(
+    cores, temps, moved, redirty, again
+):
     node = _build(cores, temps)
     node._recompute()
     _assert_matches_references(node)
+    _assert_completion_is_earliest(node)
 
     for therm, temp in zip(node.thermal, moved):
-        therm._temp_degc = temp
+        therm.temp_degc = temp
     node._rate_dirty = list(redirty)
     node._recompute()
     _assert_matches_references(node)
+    _assert_completion_is_earliest(node)
+
+    node._rate_dirty = list(again)
+    node._recompute()
+    _assert_matches_references(node)
+    _assert_completion_is_earliest(node)
+
+
+def _busy_on_both_sockets(node: Node, short_s: float, long_s: float) -> None:
+    """A short segment on socket 0's first core, a long one on socket 1's."""
+    node.assign(node._socket_cores[0][0].index, Segment(short_s, 0.3))
+    node.assign(node._socket_cores[1][0].index, Segment(long_s, 0.6))
+
+
+def test_clean_socket_minimum_reused_at_the_same_instant():
+    node = Node(Engine(), warm=False)
+    _busy_on_both_sockets(node, 0.5, 4.0)
+    _assert_completion_is_earliest(node)
+    # A mutation on socket 1 alone, at the same instant: socket 0 stays
+    # clean, and its cached minimum is still the node's earliest.
+    node.assign(node._socket_cores[1][1].index, Segment(3.0, 0.2))
+    assert node._rate_dirty == [False] * _SOCKETS
+    _assert_matches_references(node)
+    _assert_completion_is_earliest(node)
+    assert node._completion.time == node.cores[0].remaining / node.cores[0].speed
+
+
+def test_clean_socket_at_equilibrium_rewalked_when_time_advances():
+    # Without leakage a socket's power does not depend on its temperature,
+    # so the RC step leaves a socket at equilibrium at the same float.
+    config = dataclasses.replace(
+        PAPER_MACHINE,
+        power=dataclasses.replace(PAPER_MACHINE.power, leakage_per_degc=0.0),
+    )
+    node = Node(Engine(), config, warm=False)
+    _busy_on_both_sockets(node, 2.0, 6.0)
+    for s, therm in enumerate(node.thermal):
+        therm.temp_degc = therm.equilibrium_degc(node._socket_power[s])
+    node.refresh()
+    held = [therm.temp_degc for therm in node.thermal]
+    node.engine.run(until=0.75)
+    node.refresh()
+    assert [therm.temp_degc for therm in node.thermal] == held
+    assert node._power_temp == held
+    _assert_matches_references(node)
+    _assert_completion_is_earliest(node)
+
+
+def test_clean_socket_repriced_after_time_moves():
+    node = Node(Engine())
+    _busy_on_both_sockets(node, 2.0, 6.0)
+    node.set_spin(node._socket_cores[1][2].index, duty=1.0 / 32)
+    node.engine.run(until=0.5)
+    node.refresh()
+    assert node._power_temp == [therm.temp_degc for therm in node.thermal]
+    _assert_matches_references(node)
+    _assert_completion_is_earliest(node)
 
 
 def test_coherence_on_both_sockets_stretches_by_node_wide_busy_count():

@@ -1,5 +1,7 @@
 """Topology addressing and the MSR register file."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -70,6 +72,12 @@ def test_clock_modulation_rejects_nonpositive():
         decode_clock_modulation(-1)
 
 
+def test_clock_modulation_rejects_nan():
+    """NaN gets the documented error, not ``round``'s conversion error."""
+    with pytest.raises(ValueError, match="duty must be positive, got nan"):
+        encode_clock_modulation(math.nan)
+
+
 @given(st.floats(min_value=1.0 / 32.0, max_value=1.0))
 def test_clock_modulation_roundtrip_within_one_step(duty):
     decoded = decode_clock_modulation(encode_clock_modulation(duty))
@@ -83,6 +91,28 @@ def test_msr_requires_privilege():
     with pytest.raises(MSRPermissionError):
         msr.read_core(0, IA32_CLOCK_MODULATION)
     assert msr.read_core(0, IA32_CLOCK_MODULATION, privileged=True) == 7
+
+
+@pytest.mark.parametrize(
+    "access, what",
+    [
+        (lambda msr: msr.read_core(3, IA32_CLOCK_MODULATION), "rdmsr core=3 addr=0x19a"),
+        (lambda msr: msr.write_core(3, IA32_CLOCK_MODULATION, 1), "wrmsr core=3 addr=0x19a"),
+        (lambda msr: msr.read_package(1, 0x611), "rdmsr pkg=1 addr=0x611"),
+        (lambda msr: msr.write_package(1, 0x610, 1), "wrmsr pkg=1 addr=0x610"),
+    ],
+)
+def test_msr_refusal_names_the_access(access, what):
+    """Every unprivileged access is refused before any hook runs."""
+    msr = MSRFile()
+    ran = []
+    msr.map_core(3, IA32_CLOCK_MODULATION, reader=lambda: ran.append("r") or 0,
+                 writer=lambda v: ran.append("w"))
+    msr.map_package(1, 0x611, reader=lambda: ran.append("r") or 0)
+    msr.map_package(1, 0x610, writer=lambda v: ran.append("w"))
+    with pytest.raises(MSRPermissionError, match=f"^{what} requires supervisor"):
+        access(msr)
+    assert ran == []
 
 
 def test_msr_unmapped_address_raises():

@@ -22,7 +22,7 @@ import pytest
 from repro.sched import SchedSpec, TRACE_PROFILES, generate_trace
 from repro.sim.rng import RngStreams
 
-pytestmark = pytest.mark.sched
+pytestmark = [pytest.mark.sched, pytest.mark.golden]
 
 TRACE_JOBS = 2000
 TRACE_RATE = 0.5

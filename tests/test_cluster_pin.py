@@ -14,6 +14,8 @@ import pytest
 from repro.cluster import run_cluster
 from repro.sched.spec import SchedSpec
 
+pytestmark = pytest.mark.golden
+
 
 def _run_cluster_case():
     result = run_cluster(

@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 
 from repro.apps.base import equal_shares, proportional_shares
 from repro.errors import ConfigError, MeasurementError
+from repro.hw.core import Segment
+from repro.hw.node import Node
 from repro.hw.perfctr import (
     CounterSnapshot,
     SocketCounters,
@@ -19,25 +21,41 @@ from repro.sim.trace import Trace
 
 
 # ---------------------------------------------------------------- perfctr
+def _interval(node, core, dt):
+    """Start a long segment on ``core``, then run ``dt`` seconds on.
+
+    Returns socket 0's contention and power over the interval: both stay
+    constant, since nothing re-prices the node until the next mutation.
+    """
+    node.assign(core, Segment(100.0, mem_fraction=0.5 + 0.25 * core))
+    mem, power = node.memory_state(0), node.power_w(0)
+    node.engine.run(until=node.engine.now + dt)
+    return mem, power
+
+
 def test_socket_counters_accumulate():
-    counters = SocketCounters()
-    counters.accumulate(demand=10.0, bw_util=0.5, power_w=100.0, dt=2.0)
-    counters.accumulate(demand=20.0, bw_util=1.0, power_w=150.0, dt=1.0)
-    assert counters.demand_integral == pytest.approx(40.0)
-    assert counters.power_integral_j == pytest.approx(350.0)
+    node = Node(Engine(), warm=False)
+    mem1, p1 = _interval(node, 0, 2.0)
+    mem2, p2 = _interval(node, 1, 1.0)
+    node.counters_snapshot(0)  # syncs the integrals to now
+    counters = node.counters[0]
+    assert mem2.demand > mem1.demand > 0.0 and p2 > p1
+    assert counters.demand_integral == pytest.approx(2.0 * mem1.demand + mem2.demand)
+    assert counters.bw_util_integral == pytest.approx(2.0 * mem1.bw_util + mem2.bw_util)
+    assert counters.power_integral_j == pytest.approx(2.0 * p1 + p2)
     assert counters.elapsed_s == pytest.approx(3.0)
 
 
 def test_window_average_between_snapshots():
-    counters = SocketCounters()
-    counters.accumulate(10.0, 0.2, 100.0, 1.0)
-    before = snapshot(counters)
-    counters.accumulate(30.0, 0.8, 140.0, 1.0)
-    window = window_average(before, snapshot(counters))
+    node = Node(Engine(), warm=False)
+    _interval(node, 0, 1.0)
+    before = node.counters_snapshot(0)
+    mem, power = _interval(node, 1, 1.0)
+    window = node.window(0, before)
     assert window.elapsed_s == pytest.approx(1.0)
-    assert window.avg_demand == pytest.approx(30.0)
-    assert window.avg_bw_util == pytest.approx(0.8)
-    assert window.avg_power_w == pytest.approx(140.0)
+    assert window.avg_demand == pytest.approx(mem.demand)
+    assert window.avg_bw_util == pytest.approx(mem.bw_util)
+    assert window.avg_power_w == pytest.approx(power)
 
 
 def test_window_average_zero_length_is_zeros():

@@ -105,7 +105,7 @@ def test_clean_run_fires_nothing_and_checks_everything() -> None:
 # energy ledgers
 # ----------------------------------------------------------------------
 def test_tripwire_energy_conservation() -> None:
-    assert_trips(lambda node: setattr(node.rapl[0], "_energy_j",
+    assert_trips(lambda node: setattr(node.rapl[0], "energy_j",
                                       node.rapl[0].energy_j + 1.0),
                  "energy-conservation")
 
@@ -114,7 +114,7 @@ def test_tripwire_energy_monotonic() -> None:
     # The rollback must exceed one battery interval's accrual (~a few J)
     # or the accumulator climbs back above the last checkpoint unseen;
     # 99% of half a second's energy is decisive while staying >= 0.
-    assert_trips(lambda node: setattr(node.rapl[0], "_energy_j",
+    assert_trips(lambda node: setattr(node.rapl[0], "energy_j",
                                       node.rapl[0].energy_j * 0.01),
                  "energy-monotonic")
 
@@ -146,25 +146,25 @@ def test_tripwire_rapl_register() -> None:
 # thermal
 # ----------------------------------------------------------------------
 def test_tripwire_thermal_step() -> None:
-    assert_trips(lambda node: setattr(node.thermal[0], "_temp_degc",
+    assert_trips(lambda node: setattr(node.thermal[0], "temp_degc",
                                       node.thermal[0].temp_degc + 0.5),
                  "thermal-step")
 
 
 def test_tripwire_thermal_bounds_above_tjmax() -> None:
-    assert_trips(lambda node: setattr(node.thermal[0], "_temp_degc", 150.0),
+    assert_trips(lambda node: setattr(node.thermal[0], "temp_degc", 150.0),
                  "thermal-bounds")
 
 
 def test_tripwire_thermal_bounds_below_floor() -> None:
-    assert_trips(lambda node: setattr(node.thermal[0], "_temp_degc", 1.0),
+    assert_trips(lambda node: setattr(node.thermal[0], "temp_degc", 1.0),
                  "thermal-bounds")
 
 
 def test_dedup_bounds_records_but_counts_recurrences() -> None:
     """A persistent corruption yields ONE record per site, many counts."""
     checker = assert_trips(
-        lambda node: setattr(node.thermal[0], "_temp_degc",
+        lambda node: setattr(node.thermal[0], "temp_degc",
                              node.thermal[0].temp_degc + 0.5),
         "thermal-step",
     )
