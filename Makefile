@@ -4,7 +4,7 @@ PYTHON ?= python
 
 COV_FAIL_UNDER ?= 80
 
-.PHONY: install test test-cosched test-faults test-golden test-harness test-metering test-obs test-validate test-sched test-service test-store validate-smoke sched-smoke serve-smoke metersweep-smoke cosched-smoke obs-smoke coverage sweep-smoke smoke-faults bench profile reproduce recalibrate examples clean
+.PHONY: install test test-cosched test-faults test-golden test-harness test-metering test-obs test-validate test-sched test-service test-store validate-smoke sched-smoke serve-smoke metersweep-smoke cosched-smoke obs-smoke coverage sweep-smoke smoke-faults bench profile ab reproduce recalibrate examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -138,6 +138,17 @@ WORKLOAD ?= paper-tables
 
 profile:
 	$(PYTHON) perfbench/run.py --workload $(WORKLOAD) --seed 1 --trace 1
+
+# Alternating untraced runs of a base revision and this checkout, one pair
+# per seed from SEED on: per-pair end-to-end metrics, then their medians,
+# the base's quartiles and the change's wins (see tools/ab.py), e.g.
+# make ab WORKLOAD=sched-campaign BASE=main PAIRS=10 SEED=8001
+BASE ?= HEAD
+PAIRS ?= 10
+SEED ?= 1
+
+ab:
+	$(PYTHON) tools/ab.py --workload $(WORKLOAD) --base $(BASE) --pairs $(PAIRS) --seed $(SEED)
 
 # Regenerate EXPERIMENTS.md (runs the full evaluation, ~5-10 minutes).
 reproduce:

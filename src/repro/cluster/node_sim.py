@@ -41,8 +41,9 @@ class ClusterNode:
     only the power floor, so budget flows to nodes with work.
 
     Finished jobs are handed to ``on_finish(node, job, start_s, report)``
-    rather than accumulated here, so a node's memory footprint is
-    independent of how many jobs it has run.
+    rather than accumulated here, and the clamp keeps only its newest
+    decisions, so a node's memory footprint is independent of how many
+    jobs it has run and for how long.
     """
 
     def __init__(

@@ -13,7 +13,9 @@ core changes state, a duty cycle commits).  Every mutation therefore runs:
    since the last sync and drain in-flight segments at the cached rates;
 2. the mutation itself, which marks the affected sockets dirty;
 3. a request for ``_recompute()`` — re-derive each dirty socket's
-   contention, then walk each socket's cores once more: a dirty socket's
+   contention, mark a socket hosting coherence segments dirty if the
+   node-wide busy count moved since its rates were derived, then walk
+   each socket's cores once more: a dirty socket's
    walk derives each core's rate, and every walk prices the core's power
    term and finds the socket's earliest segment completion in the same
    loop.  A clean socket is walked only when time advanced or its
@@ -122,16 +124,20 @@ class Node:
         ]
         # --- recompute memo ------------------------------------------------
         # A socket's demand/stretch/per-core rates only change when one of
-        # its cores changes state, segment or duty — plus, for cores that
-        # carry a coherence penalty, when the *node-wide* busy count moves.
-        # Mutators mark the affected sockets dirty; _recompute() only
-        # re-derives dirty sockets and re-prices power where either the
-        # rates or the (continuously drifting) temperature changed.  All
-        # recomputed values use the exact arithmetic of the full pass, so
-        # memoized runs are bit-identical to recomputing everything.
+        # its cores changes state, segment or duty — plus, on a socket
+        # hosting coherence segments, when the *node-wide* busy count
+        # differs from the one its rates were derived with.  Mutators mark
+        # the affected sockets dirty; _recompute() marks a coherence
+        # socket whose busy-count input moved, re-derives dirty sockets
+        # and re-prices power where either the rates or the (continuously
+        # drifting) temperature changed.  All recomputed values use the
+        # exact arithmetic of the full pass, so memoized runs are
+        # bit-identical to recomputing everything.
         self._rate_dirty: list[bool] = [True] * config.sockets
         self._busy_in_socket: list[int] = [0] * config.sockets
         self._coh_in_socket: list[int] = [0] * config.sockets
+        #: The node-wide busy count each socket's rates were derived with.
+        self._rates_busy_total: list[int] = [0] * config.sockets
         self._power_temp: list[Optional[float]] = [None] * config.sockets
         #: Each socket's earliest ``remaining / speed`` over its busy
         #: cores, valid at ``_recompute_now`` while the socket stays clean.
@@ -353,10 +359,16 @@ class Node:
     def _recompute(self) -> None:
         """Recompute contention, rates and power; reschedule completion.
 
-        Memoized: only sockets marked dirty by a mutator are re-derived.
-        The first walk sums each dirty socket's memory demand and busy
-        count; it must finish for every dirty socket first, because a
-        coherence segment's stretch depends on the node-wide busy total.
+        Memoized: only sockets marked dirty are re-derived.  The first
+        walk sums the memory demand and busy count of each socket a
+        mutator marked dirty; it must finish for every such socket first,
+        because a coherence segment's stretch depends on the node-wide
+        busy total.  A clean socket that hosts coherence segments is then
+        marked dirty only if that total differs from the one its rates
+        were derived with; its demand and counts are still current, so it
+        skips the first walk.  The typical completion retires a core and
+        refills it in the same event, leaving the total, and so the other
+        socket's rates, unchanged.
         The second is one walk per socket that prices the socket's power
         and finds its earliest segment completion, the minimum of
         ``remaining / speed`` over its busy cores; on a dirty socket the
@@ -429,6 +441,10 @@ class Node:
                 bw_util=0.0 if demand <= 0 else min(1.0, demand / knee),
             )
         busy_total = sum(busy_in)
+        rates_busy_total = self._rates_busy_total
+        for s in range(sockets):
+            if coh_in[s] and rates_busy_total[s] != busy_total:
+                dirty[s] = True
         pcfg = self.power_model.config
         leak_per_degc = pcfg.leakage_per_degc
         leak_ref_degc = pcfg.leakage_ref_degc
@@ -505,6 +521,7 @@ class Node:
                         # OFF contributes exactly 0.0; skipping the add
                         # leaves the (strictly positive) total bit-identical.
                 dirty[s] = False
+                rates_busy_total[s] = busy_total
             else:
                 # Rates are current: price with the cached speeds and
                 # mem_wall_fractions, and re-find the earliest completion.
@@ -569,15 +586,11 @@ class Node:
                 core.remaining = 0.0
                 core.state = idle
                 dirty[core.socket] = True
-        if callbacks:
-            # The node-wide busy count moved: sockets hosting coherence
-            # segments re-derive too, since their stretch depends on it.
-            for t, coh in enumerate(self._coh_in_socket):
-                if coh:
-                    dirty[t] = True
         # One deferred re-derivation covers the completions and every
         # assign() the callbacks make; a callback that queries power or
-        # contention recomputes on demand and sees the completions.
+        # contention recomputes on demand and sees the completions.  A
+        # coherence socket elsewhere is re-derived there only if the event
+        # left the node-wide busy count changed (see _recompute).
         self._request_recompute()
         for cb in callbacks:
             if cb is not None:
@@ -607,12 +620,7 @@ class Node:
         core.segment = segment
         core.remaining = segment.solo_seconds
         core.on_complete = on_complete
-        dirty = self._rate_dirty
-        dirty[core.socket] = True
-        # The node-wide busy count moved (see _on_completion).
-        for t, coh in enumerate(self._coh_in_socket):
-            if coh:
-                dirty[t] = True
+        self._rate_dirty[core.socket] = True
         self._request_recompute()
 
     def _set_state(self, core_index: int, state: CoreState) -> None:

@@ -115,6 +115,13 @@ class Scheduler:
 
     def _dispatch(self) -> None:
         self._dispatch_pending = False
+        # Most passes find every worker busy or spinning: they would wake
+        # nobody, so return before counting work or ordering workers.
+        for shepherd in self.shepherds:
+            if shepherd.idle_workers:
+                break
+        else:
+            return
         work = sum(len(s.queue) for s in self.shepherds)
         if work == 0:
             return

@@ -81,7 +81,6 @@ class RegionClient:
         #: their interval (the real end call reads counters synchronously).
         self.daemon = daemon
         self._open: dict[str, _OpenRegion] = {}
-        self.reports: list[RegionReport] = []
 
     def _freshen(self) -> None:
         if self.daemon is not None:
@@ -122,7 +121,7 @@ class RegionClient:
             for s in range(self.sockets)
         )
         total = sum(energy)
-        report = RegionReport(
+        return RegionReport(
             name=name,
             start_s=region.start_s,
             end_s=end_s,
@@ -131,5 +130,3 @@ class RegionClient:
             temps_degc=temps,
             valid=elapsed >= period,
         )
-        self.reports.append(report)
-        return report

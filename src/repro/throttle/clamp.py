@@ -24,7 +24,8 @@ paper's dual-metric policy exists to avoid when the goal is energy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 
 from repro.errors import MeasurementError, SimulationError
 from repro.hw.msr import MSR_PKG_POWER_LIMIT
@@ -39,6 +40,11 @@ from repro.sim.events import Priority
 _LIMIT_UNIT_W = 0.125
 _ENABLE_BIT = 1 << 15
 _LIMIT_MASK = 0x7FFF
+
+#: How many of the newest decisions a controller keeps: 25.6 s at the
+#: default 0.1 s period, so a clamp that runs for a whole cluster
+#: campaign holds a bounded history.
+DECISION_HISTORY = 256
 
 
 def encode_power_limit(watts: float, *, enabled: bool = True) -> int:
@@ -58,7 +64,7 @@ def decode_power_limit(raw: int) -> tuple[float, bool]:
 
 @dataclass
 class ClampDecision:
-    """One controller evaluation (kept for tests/telemetry)."""
+    """One controller evaluation (the newest are kept for tests/telemetry)."""
 
     time_s: float
     node_power_w: float
@@ -103,7 +109,7 @@ class PowerClampController:
         self._active_limit = self.max_threads
         self._running = False
         self._next_event = None
-        self.decisions: list[ClampDecision] = []
+        self.decisions: deque[ClampDecision] = deque(maxlen=DECISION_HISTORY)
         self._budget_w = 0.0
         self.set_budget(budget_w)
 

@@ -16,7 +16,13 @@ A second recompute after the temperatures move, with only some sockets
 marked dirty, checks the two pricing walks side by side: dirty sockets
 through the fused rate loop, clean ones through the walk that re-prices
 with cached rates.  A third, at the same instant with the temperatures
-left alone, reuses the clean sockets' cached prices and minima.
+left alone, reuses the clean sockets' cached prices and minima.  A last
+step mutates the machine through ``assign``/``set_idle``/``set_spin``
+inside one engine event, so a single deferred recompute must find every
+socket whose inputs moved — including a clean coherence socket whose
+only input is the node-wide busy count.  Every socket hosting coherence
+segments must then record that count as the one its rates were derived
+with.
 
 After every recompute the pending ``segment-complete`` event must sit at
 ``now + min(remaining / speed)`` over the busy cores, found by brute
@@ -25,7 +31,9 @@ per-socket completion cache must get right: a clean socket's cached
 minimum reused at the same instant, a clean socket held at its
 equilibrium temperature while time advances (a cache keyed on
 temperature would reuse a stale minimum), and a clean socket re-priced
-after time moves.
+after time moves.  Two more pin the coherence rule: a completion that
+lowers the busy count re-derives the other socket's coherence rates, and
+one whose callback refills the core leaves them exact.
 """
 
 from __future__ import annotations
@@ -104,6 +112,12 @@ def _assert_matches_references(node: Node) -> None:
             node.config.power, node._socket_cores[s], bw_util, temp
         )
         assert node._socket_power[s] == ref, (s, node._socket_power[s], ref)
+        if any(
+            core.state is CoreState.BUSY and core.segment is not None
+            and core.segment.coherence_penalty > 0.0
+            for core in node._socket_cores[s]
+        ):
+            assert node._rates_busy_total[s] == busy_total, s
 
 
 def _assert_completion_is_earliest(node: Node) -> None:
@@ -128,6 +142,29 @@ def _assert_completion_is_earliest(node: Node) -> None:
 
 
 _dirty = st.lists(st.booleans(), min_size=_SOCKETS, max_size=_SOCKETS)
+_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["assign", "idle", "spin"]),
+        st.integers(min_value=0, max_value=_CORES - 1),
+        _segment,
+        _duty,
+    ),
+    max_size=6,
+)
+
+
+def _apply(node: Node, ops) -> None:
+    """Apply the valid ``ops`` through the node's public mutators."""
+    for op, index, seg, duty in ops:
+        state = node.cores[index].state
+        if state is CoreState.BUSY:
+            continue
+        if op == "assign" and state is not CoreState.OFF:
+            node.assign(index, seg)
+        elif op == "idle":
+            node.set_idle(index)
+        elif op == "spin":
+            node.set_spin(index, duty=duty)
 
 
 @given(
@@ -136,9 +173,10 @@ _dirty = st.lists(st.booleans(), min_size=_SOCKETS, max_size=_SOCKETS)
     moved=_temps,
     redirty=_dirty,
     again=_dirty,
+    ops=_ops,
 )
 def test_fused_recompute_matches_memo_free_references(
-    cores, temps, moved, redirty, again
+    cores, temps, moved, redirty, again, ops
 ):
     node = _build(cores, temps)
     node._recompute()
@@ -154,6 +192,13 @@ def test_fused_recompute_matches_memo_free_references(
 
     node._rate_dirty = list(again)
     node._recompute()
+    _assert_matches_references(node)
+    _assert_completion_is_earliest(node)
+
+    # All mutations in one event: one deferred recompute at its end.
+    engine = node.engine
+    engine.schedule(0.0, lambda: _apply(node, ops))
+    engine.run(until=engine.now)
     _assert_matches_references(node)
     _assert_completion_is_earliest(node)
 
@@ -221,3 +266,54 @@ def test_coherence_on_both_sockets_stretches_by_node_wide_busy_count():
     wall = 0.5 + 0.5 * (1.0 + 0.1 * 2)
     assert node.cores[0].speed == 1.0 / wall
     assert node.cores[_CORES - 1].speed == 1.0 / wall
+
+
+def _coherence_on_socket_1(node: Node) -> Segment:
+    """Two long coherence segments on socket 1's first two cores."""
+    seg = Segment(5.0, 0.5, coherence_penalty=0.1)
+    for core in node._socket_cores[1][:2]:
+        node.assign(core.index, seg)
+        _assert_matches_references(node)
+        _assert_completion_is_earliest(node)
+    return seg
+
+
+def test_coherence_socket_rederives_when_the_busy_count_drops():
+    node = Node(Engine(), warm=False)
+    short = node._socket_cores[0][0].index
+    node.assign(short, Segment(0.5, 0.3))
+    _assert_matches_references(node)
+    _coherence_on_socket_1(node)
+    # Three busy cores: sigma = 1 + 0.1 * 2 on socket 1.
+    coherent = node._socket_cores[1][0]
+    assert coherent.speed == 1.0 / (0.5 + 0.5 * (1.0 + 0.1 * 2))
+    # The short segment completes at 0.5 s; nothing refills its core, so
+    # socket 1 — untouched by the event — must re-derive at two.
+    node.engine.run(until=1.0)
+    assert node.cores[short].state is CoreState.IDLE
+    node.refresh()
+    _assert_matches_references(node)
+    _assert_completion_is_earliest(node)
+    assert coherent.speed == 1.0 / (0.5 + 0.5 * (1.0 + 0.1 * 1))
+
+
+def test_coherence_socket_exact_when_a_completion_refills_its_core():
+    node = Node(Engine(), warm=False)
+    first = node._socket_cores[0][0].index
+
+    def refill() -> None:
+        # Inside the completion event: the busy count drops and is
+        # restored before the event's one deferred recompute.
+        node.assign(first, Segment(2.0, 0.3))
+
+    node.assign(first, Segment(0.5, 0.3), on_complete=refill)
+    _coherence_on_socket_1(node)
+    node.engine.run(until=1.0)
+    assert node.cores[first].segments_completed == 1
+    assert node.cores[first].state is CoreState.BUSY
+    assert node._rate_dirty == [False] * _SOCKETS
+    _assert_matches_references(node)
+    node.refresh()
+    _assert_matches_references(node)
+    _assert_completion_is_earliest(node)
+    assert node._socket_cores[1][0].speed == 1.0 / (0.5 + 0.5 * (1.0 + 0.1 * 2))

@@ -272,3 +272,68 @@ def test_bare_segment_and_compute_issue_the_same_segment():
     # The first segment carries the spawn/queue overhead merged in.
     assert bare[0].solo_seconds > 0.25
     assert type(bare[0]) is Segment
+
+
+# ----------------------------------------------------------------------
+# dispatch: wake order, and passes that can wake nobody
+# ----------------------------------------------------------------------
+def _record_seeks(monkeypatch) -> list[int]:
+    """Record the core of every worker ``seek`` wakes, then run it."""
+    woken: list[int] = []
+    seek = Worker.seek
+
+    def recording_seek(worker):
+        woken.append(worker.core_index)
+        seek(worker)
+
+    monkeypatch.setattr(Worker, "seek", recording_seek)
+    return woken
+
+
+def test_dispatch_wakes_local_queue_shepherds_first_in_core_order(monkeypatch):
+    rt = make_runtime(16)
+    sched = rt.scheduler
+    local, other = sched.shepherds[1], sched.shepherds[0]
+    # Two idle workers where the work is, three elsewhere; the rest busy.
+    keep = {9, 12, 2, 5, 6}
+    for shepherd in sched.shepherds:
+        shepherd.idle_workers = {w for w in shepherd.idle_workers if w.core_index in keep}
+    for i in range(4):
+        local.enqueue(_queued_task(f"t{i}"))
+    assert not other.queue
+    woken = _record_seeks(monkeypatch)
+    sched._dispatch()
+    # One wake per queued task: the local shepherd's idle workers, then
+    # the others (who steal), each group in core order.
+    assert woken == [9, 12, 2, 5]
+    assert not local.queue
+    assert [w.core_index for w in other.idle_workers] == [6]
+
+
+def _dispatch_state(sched):
+    return (
+        [list(s.queue._deque) for s in sched.shepherds],
+        [(w.state, w.current, w.tasks_run, w.steals) for w in sched.workers],
+        [set(s.idle_workers) for s in sched.shepherds],
+        (sched.spawn_count, sched.completed_count, sched.spin_entries,
+         sched.throttle_activations, sched.throttle_deactivations),
+        sched.rng.bit_generator.state,
+        len(sched.engine._heap),
+    )
+
+
+def test_dispatch_without_idle_workers_changes_nothing(monkeypatch):
+    rt = make_runtime(16)
+    sched = rt.scheduler
+    for shepherd in sched.shepherds:
+        shepherd.idle_workers.clear()
+    sched.shepherds[0].enqueue(_queued_task("a"))
+    sched.shepherds[1].enqueue(_queued_task("b"))
+    sched.shepherds[1].enqueue(_queued_task("c"))
+    before = _dispatch_state(sched)
+    woken = _record_seeks(monkeypatch)
+    sched._dispatch_pending = True
+    sched._dispatch()
+    assert woken == []
+    assert sched._dispatch_pending is False
+    assert _dispatch_state(sched) == before

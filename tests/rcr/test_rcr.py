@@ -237,8 +237,9 @@ def test_region_errors(runtime):
 def test_region_reports_accumulate(runtime):
     bb, daemon = _stack(runtime)
     client = RegionClient(runtime.engine, bb, 2, daemon=daemon)
+    reports = []
     for name in ("a", "b"):
         client.start(name)
         runtime.engine.run(until=runtime.engine.now + 0.2)
-        client.end(name)
-    assert [r.name for r in client.reports] == ["a", "b"]
+        reports.append(client.end(name))
+    assert [r.name for r in reports] == ["a", "b"]

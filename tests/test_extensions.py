@@ -9,6 +9,7 @@ from repro.qthreads import Spawn, Taskwait, Work
 from repro.rcr import Blackboard, RCRDaemon
 from repro.sim.engine import Engine
 from repro.throttle.clamp import (
+    DECISION_HISTORY,
     PowerClampController,
     decode_power_limit,
     encode_power_limit,
@@ -226,6 +227,20 @@ def test_cluster_node_rejects_a_second_job_while_busy():
         node.start_job(Job(index=1, submit_s=0.0, app="bots-sort",
                            threads=16, scale=1.0))
     node.shutdown()
+
+
+def test_long_idle_cluster_node_holds_a_bounded_history():
+    engine = Engine()
+    node = ClusterNode("n", engine, budget_w=160.0)
+    ticks = 2 * DECISION_HISTORY
+    engine.run(until=ticks * node.clamp.period_s + 0.05)
+    node.shutdown()
+    decisions = node.clamp.decisions
+    assert len(decisions) == DECISION_HISTORY
+    # The newest decisions are the ones kept.
+    assert decisions[-1].time_s == pytest.approx(ticks * node.clamp.period_s)
+    assert decisions[0].time_s == pytest.approx(
+        (ticks - DECISION_HISTORY + 1) * node.clamp.period_s)
 
 
 @pytest.mark.parametrize("period_s", [0.0, -1.0, float("nan")])
