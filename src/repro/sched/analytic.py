@@ -9,12 +9,13 @@ job costs a couple of heap operations instead of a full qthreads
 runtime, RCR daemon and power-clamp microsimulation.  Measured by the
 ``sched-campaign`` benchmark on a 2-core x86 host (reference-speed
 seconds): the full tournament pays ~0.1 s per job, the 200k-job
-analytic trace ~18 µs per job (3.6 s; it was ~26 µs, 5.2 s, while
-each job still built a record and a scaled roofline point and every
-select repeated its predictor lookups, and ~41 µs, 8.1 s, before the
-dispatch loop kept one view per node) — i.e. between "a
-million-job trace is a day" and "a million-job trace is under twenty
-seconds".
+analytic trace ~14 µs per job (2.7 s) — i.e. a million-job trace in
+under fifteen seconds.  It was ~18 µs (3.6 s) while the trace drew
+through numpy's per-call ``integers``/``random`` and built each ``Job``
+and busy view through its constructor, ~26 µs (5.2 s) while each job
+still built a record and a scaled roofline point and every select
+repeated its predictor lookups, and ~41 µs (8.1 s) before the dispatch
+loop kept one view per node.
 
 What the analytic mode deliberately does not model: the power clamp
 (jobs run unthrottled at their roofline wattage), the coordinator's
@@ -33,10 +34,13 @@ full path, so checkpoint/resume identity holds here too.
 
 Per job the loop builds nothing it throws away: a finished job folds
 into the accumulator as scalars (a :class:`~repro.sched.result.JobRecord`
-exists only when the spec retains jobs), and pricing reads the cached
-unit point directly.  Observability follows the same rule: with a
-registry the sched counters are folded once per segment from the
-accumulator, and a tracer gets one sim-time span per segment.
+exists only when the spec retains jobs), pricing reads the cached unit
+point directly, and the policy snapshots are filled as plain tuples.
+What is left per job is the trace's exponential draws (numpy calls),
+the policy's ``select`` and the sketch fold.  Observability follows
+the same rule: with a registry the sched counters are folded once per
+segment from the accumulator, and a tracer gets one sim-time span per
+segment.
 """
 
 from __future__ import annotations
@@ -228,13 +232,14 @@ class AnalyticSim:
 
     def _dispatch(self) -> None:
         # Only idle nodes may be chosen, so every policy holds while all
-        # nodes are busy: skip the call until a finish frees one.
-        while self._idle and len(self.queue) > 0:
-            state = ClusterState(
-                time_s=self.now,
-                global_budget_w=self.spec.budget_w,
-                total_power_w=sum(self._watts),
-            )
+        # nodes are busy: skip the call until a finish frees one.  The
+        # snapshots are built with ``tuple.__new__`` (field order as
+        # declared), which skips the ``NamedTuple`` keyword constructor.
+        queued = self.queue._jobs
+        while self._idle and queued:
+            state = tuple.__new__(ClusterState, (
+                self.now, self.spec.budget_w, sum(self._watts),
+            ))
             pick = self.policy.select(
                 self.queue.jobs, tuple(self._views), state
             )
@@ -257,10 +262,9 @@ class AnalyticSim:
             energy_j = unit.energy_j * job.scale
             watts = energy_j / time_s if time_s > 0 else 0.0
             self._watts[idx] = watts
-            self._views[idx] = NodeView(
-                name=node_name, busy=True, budget_w=self._node_budget_w,
-                measured_power_w=watts, clamp_pressure=0.0,
-            )
+            self._views[idx] = tuple.__new__(NodeView, (
+                node_name, True, self._node_budget_w, watts, 0.0,
+            ))
             self._idle -= 1
             heapq.heappush(self._heap, (
                 self.now + time_s, self._seq, idx, job, self.now, time_s,

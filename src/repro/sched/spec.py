@@ -140,8 +140,12 @@ class SchedSpec(Spec):
             raise ConfigError(
                 f"arrival rate must be positive, got {self.rate_jobs_per_s!r}"
             )
-        if not self.scale > 0:
-            raise ConfigError(f"scale must be positive, got {self.scale!r}")
+        # An infinite scale (JSON admits ``Infinity``) would otherwise
+        # reach the worker and fail there as a NaN or infinite job time.
+        if not 0 < self.scale < math.inf:
+            raise ConfigError(
+                f"scale must be finite and positive, got {self.scale!r}"
+            )
         if not (0 < self.period_s < math.inf
                 and 0 < self.coordinator_period_s < math.inf):
             raise ConfigError("periods must be finite and positive")

@@ -27,7 +27,20 @@ Three stochastic arrival profiles plus a deterministic control:
 Determinism: every draw comes from one named
 :class:`~repro.sim.rng.RngStreams` stream keyed by ``(seed, profile)``,
 so the same ``(profile, jobs, rate, seed, apps)`` tuple always yields a
-bit-identical stream regardless of what else consumed randomness.
+bit-identical stream regardless of what else consumed randomness.  The
+stream belongs to one :func:`iter_trace` call, and its draws are taken
+through :class:`_TraceDraws`, which replays numpy's own rules on the
+generator's raw 64-bit PCG64 output: a uniform is numpy's
+``next_double`` and an index in ``[0, n)`` is numpy's bounded Lemire
+rule over buffered 32-bit halves, so each is bit for bit what
+``Generator.random()`` and ``Generator.integers(0, n)`` would return,
+at a fraction of their call cost.  Every integer draw on the stream —
+the app, the thread demand and the burst length — must go through the
+helper: it keeps its own spare 32-bit half, so one ``integers`` call on
+the generator itself would split the two buffers and shift every later
+draw.  ``exponential`` stays a numpy call (its ziggurat tables are
+numpy's own); it reads whole 64-bit outputs and leaves the spare half
+alone, as in numpy.
 """
 
 from __future__ import annotations
@@ -79,6 +92,53 @@ class Job:
         return f"j{self.index}:{self.app} t{self.threads} @{self.submit_s:.2f}s"
 
 
+class _TraceDraws:
+    """The trace stream's uniforms and indices, from raw PCG64 output.
+
+    ``index(n)`` replays numpy's ``buffered_bounded_lemire_uint32`` over
+    ``next_uint32`` (one raw output gives two 32-bit halves, low half
+    first), so it equals ``Generator.integers(0, n)`` for ``1 <= n <
+    2**32``; ``random()`` is numpy's ``next_double``.  ``raw`` defaults
+    to the generator's ``random_raw`` and may be any callable returning
+    64-bit integers, so a test can script the rejection branch, which no
+    seed reaches for the trace's small bounds (~2**-32 per draw).
+    """
+
+    __slots__ = ("exponential", "_raw", "_half")
+
+    def __init__(self, rng, raw=None) -> None:
+        self.exponential = rng.exponential
+        self._raw = rng.bit_generator.random_raw if raw is None else raw
+        #: The buffered high half of the last raw output, -1 when spent.
+        self._half = -1
+
+    def _u32(self) -> int:
+        half = self._half
+        if half < 0:
+            raw = self._raw()
+            self._half = raw >> 32
+            return raw & 0xFFFFFFFF
+        self._half = -1
+        return half
+
+    def index(self, n: int) -> int:
+        """A uniform index in ``[0, n)``; ``n == 1`` draws nothing."""
+        if n == 1:
+            return 0
+        m = self._u32() * n
+        if m & 0xFFFFFFFF < n:
+            # Lemire's rejection: drop the products whose low word falls
+            # below 2**32 mod n, so every index keeps equal weight.
+            threshold = (0x100000000 - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._u32() * n
+        return m >> 32
+
+    def random(self) -> float:
+        """A uniform float in ``[0, 1)``, 53 random bits."""
+        return (self._raw() >> 11) * 2.0**-53
+
+
 #: Profile name -> one-line description (the registry the CLI exposes).
 TRACE_PROFILES: dict[str, str] = {
     "steady": "fixed interarrival gap (deterministic control)",
@@ -88,13 +148,16 @@ TRACE_PROFILES: dict[str, str] = {
 }
 
 
-def _iter_gaps(profile: str, jobs: int, rate: float, rng) -> Iterator[float]:
+def _iter_gaps(
+    profile: str, jobs: int, rate: float, draws: _TraceDraws
+) -> Iterator[float]:
     """Lazy gap sequence (seconds) between consecutive arrivals.
 
     Each profile is a stateful generator that draws exactly the
     randomness for the next gap when asked for it — no gap list is ever
     materialized, which is what keeps :func:`iter_trace` O(1) in memory.
     """
+    exponential = draws.exponential
     if profile == "steady":
         gap = 1.0 / rate
         for _ in range(jobs):
@@ -103,22 +166,23 @@ def _iter_gaps(profile: str, jobs: int, rate: float, rng) -> Iterator[float]:
     if profile == "poisson":
         mean = 1.0 / rate
         for _ in range(jobs):
-            yield float(rng.exponential(mean))
+            yield float(exponential(mean))
         return
     if profile == "bursty":
         yielded = 0
         while yielded < jobs:
-            burst = int(rng.integers(_BURST_MIN_JOBS, _BURST_MAX_JOBS + 1))
+            burst = _BURST_MIN_JOBS + draws.index(
+                _BURST_MAX_JOBS - _BURST_MIN_JOBS + 1)
             for _ in range(burst):
                 if yielded == jobs:
                     return
-                yield float(rng.exponential(1.0 / (rate * _BURST_SPEEDUP)))
+                yield float(exponential(1.0 / (rate * _BURST_SPEEDUP)))
                 yielded += 1
             if yielded == jobs:
                 return
             # The lull repays the burst's rate debt so the long-run rate
             # stays ~`rate` and profiles compare at equal offered load.
-            yield float(rng.exponential(burst / rate))
+            yield float(exponential(burst / rate))
             yielded += 1
         return
     if profile == "diurnal":
@@ -126,15 +190,16 @@ def _iter_gaps(profile: str, jobs: int, rate: float, rng) -> Iterator[float]:
         # spans the nominal trace length so the sweep sees both slopes.
         day_s = max(jobs / rate, 1e-9)
         peak = rate * (1.0 + _DIURNAL_AMPLITUDE)
+        uniform = draws.random
         t = 0.0
         last = 0.0
         yielded = 0
         while yielded < jobs:
-            t += float(rng.exponential(1.0 / peak))
+            t += float(exponential(1.0 / peak))
             lam = rate * (
                 1.0 + _DIURNAL_AMPLITUDE * math.sin(2.0 * math.pi * t / day_s)
             )
-            if rng.random() * peak <= lam:
+            if uniform() * peak <= lam:
                 yield t - last
                 last = t
                 yielded += 1
@@ -145,12 +210,21 @@ def _iter_gaps(profile: str, jobs: int, rate: float, rng) -> Iterator[float]:
 
 
 def _validate_trace_args(
-    profile: str, jobs: int, rate_jobs_per_s: float, apps: Sequence[str]
+    profile: str,
+    jobs: int,
+    rate_jobs_per_s: float,
+    apps: Sequence[str],
+    scale: float,
 ) -> None:
+    # Inverted comparisons, so NaN fails them: a NaN rate would give NaN
+    # arrival times (and diurnal thinning would never accept a job), and
+    # a NaN or infinite scale would become every job's scale.
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs!r}")
-    if rate_jobs_per_s <= 0:
+    if not rate_jobs_per_s > 0:
         raise ConfigError(f"rate must be positive, got {rate_jobs_per_s!r}")
+    if not 0 < scale < math.inf:
+        raise ConfigError(f"scale must be finite and positive, got {scale!r}")
     if not apps:
         raise ConfigError("the job app pool must not be empty")
     if profile not in TRACE_PROFILES:
@@ -182,24 +256,33 @@ def iter_trace(
     seed, i)`` — which is what makes ``start`` an exact re-entry point:
     the first ``start`` jobs are re-drawn and discarded, never stored.
     """
-    _validate_trace_args(profile, jobs, rate_jobs_per_s, apps)
+    _validate_trace_args(profile, jobs, rate_jobs_per_s, apps, scale)
     if not 0 <= start <= jobs:
         raise ConfigError(
             f"start must be in [0, jobs={jobs}], got {start!r}"
         )
     apps = tuple(apps)
-    rng = RngStreams(seed).stream(f"sched-trace/{profile}")
-    gaps = _iter_gaps(profile, jobs, rate_jobs_per_s, rng)
+    n_apps = len(apps)
+    n_threads = len(THREAD_CHOICES)
+    draws = _TraceDraws(RngStreams(seed).stream(f"sched-trace/{profile}"))
+    index = draws.index
+    uniform = draws.random
+    gaps = _iter_gaps(profile, jobs, rate_jobs_per_s, draws)
+    new_job = object.__new__
     t = 0.0
     for i in range(jobs):
         t += next(gaps)
-        app = apps[int(rng.integers(0, len(apps)))]
-        threads = THREAD_CHOICES[int(rng.integers(0, len(THREAD_CHOICES)))]
+        app = apps[index(n_apps)]
+        threads = THREAD_CHOICES[index(n_threads)]
         # uniform(0.75, 1.25) draws 0.75 + 0.5 * random(), bit for bit.
-        job_scale = scale * (0.75 + 0.5 * rng.random())
+        job_scale = scale * (0.75 + 0.5 * uniform())
         if i < start:
             continue
-        yield Job(
+        # The arguments were checked above and ``Job`` has no
+        # ``__post_init__``, so filling the frozen instance's dict
+        # directly skips only the per-field ``object.__setattr__``.
+        job = new_job(Job)
+        job.__dict__.update(
             index=i,
             submit_s=t,
             app=app,
@@ -208,6 +291,7 @@ def iter_trace(
             compiler=compiler,
             optlevel=optlevel,
         )
+        yield job
 
 
 def generate_trace(

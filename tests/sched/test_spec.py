@@ -65,6 +65,10 @@ def test_payload_carries_schema_and_apps_tuple():
         {"period_s": float("inf")},
         {"coordinator_period_s": float("nan")},
         {"time_limit_s": float("nan")},
+        # JSON admits ``Infinity``, so an infinite scale can arrive over
+        # the wire; it must be refused here, not in the worker.
+        {"scale": float("inf")},
+        {"scale": -0.5},
     ],
 )
 def test_invalid_specs_rejected(kwargs):

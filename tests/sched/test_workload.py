@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.errors import ConfigError
 from repro.sched.workload import (
     DEFAULT_JOB_APPS,
+    Job,
     THREAD_CHOICES,
     TRACE_PROFILES,
     generate_trace,
@@ -74,6 +78,19 @@ def test_trace_validation_errors():
     with pytest.raises(ConfigError):
         generate_trace("poisson", jobs=5, apps=())
 
+    # NaN fails every comparison, so a NaN rate used to pass the check:
+    # diurnal thinning then never accepted a job (``x <= nan`` is False)
+    # and the other profiles gave NaN arrival times.  The nominal scale
+    # becomes each job's scale, so it must be a finite positive real.
+    for profile in sorted(TRACE_PROFILES):
+        for bad in ({"rate_jobs_per_s": float("nan")},
+                    {"scale": float("nan")},
+                    {"scale": float("inf")},
+                    {"scale": -0.5},
+                    {"scale": 0.0}):
+            with pytest.raises(ConfigError):
+                generate_trace(profile, jobs=3, **bad)
+
 
 def test_offered_load_summary():
     trace = generate_trace("poisson", jobs=12, seed=0)
@@ -81,3 +98,29 @@ def test_offered_load_summary():
     assert "12 jobs" in text
     assert offered_load_summary(()) == "empty trace"
     assert "j0:" in trace[0].describe()
+
+
+@pytest.mark.parametrize("profile", sorted(TRACE_PROFILES))
+def test_trace_jobs_behave_like_constructed_jobs(profile):
+    # The trace fills each frozen Job's dict directly instead of calling
+    # the dataclass constructor; the result must be the same value.
+    for job in generate_trace(profile, jobs=6, seed=4, compiler="maestro",
+                              optlevel="O3"):
+        built = Job(**{f.name: getattr(job, f.name)
+                       for f in dataclasses.fields(Job)})
+        assert job == built and built == job
+        assert hash(job) == hash(built)
+        assert repr(job) == repr(built)
+        assert job.describe() == built.describe()
+        # Same state in the same field order, so the same pickle bytes.
+        assert pickle.dumps(job) == pickle.dumps(built)
+        clone = pickle.loads(pickle.dumps(job))
+        assert clone == job and hash(clone) == hash(job)
+        moved = dataclasses.replace(job, submit_s=job.submit_s + 1.0)
+        assert type(moved) is Job
+        assert moved.submit_s == job.submit_s + 1.0
+        assert moved.app == job.app and moved.index == job.index
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            job.scale = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del job.app

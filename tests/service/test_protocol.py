@@ -144,6 +144,11 @@ class TestSpecWire:
          "unknown sched-spec field"),
         ({"kind": "sched", "fields": {"apps": [1, 2]}}, "list of strings"),
         ({"kind": "elves", "fields": {}}, "unknown spec kind"),
+        # ``json.loads`` admits ``Infinity``; the spec must refuse it
+        # here rather than fail in the worker.
+        (json.loads('{"kind": "sched", "fields": {"scale": Infinity}}'),
+         "scale must be finite"),
+        ({"kind": "sched", "fields": {"scale": float("nan")}}, "scale"),
     ])
     def test_invalid_wire_rejected(self, wire, match):
         with pytest.raises(ProtocolError, match=match):
