@@ -15,7 +15,7 @@ Three layers:
   :func:`~repro.cosched.corun.run_corun` — one digest-keyed co-run of a
   registry app against a contention injector
   (:mod:`repro.apps.injectors`) on a shared simulated node, cacheable
-  and poolable through the standard harness;
+  and parallel through the standard harness;
 * :class:`~repro.cosched.profile.ProfileStore` — the persisted per-app
   sensitivity/intensity vectors a profiling sweep
   (:mod:`repro.experiments.coschedsweep`) produces;

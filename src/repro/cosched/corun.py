@@ -81,8 +81,8 @@ def run_corun(
 ) -> CoschedRecord:
     """Run one co-run spec and measure both programs' regions.
 
-    Top-level and all-scalar in/out, so the harness can fan it out over
-    a process pool.  ``observer`` (e.g. an
+    Top-level and all-scalar in/out, so the harness can run it in its
+    worker children.  ``observer`` (e.g. an
     :class:`~repro.validate.checker.InvariantChecker`) is attached to the
     shared node for the run, as in
     :func:`~repro.experiments.runner.run_measurement`; the checker

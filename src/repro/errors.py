@@ -104,7 +104,7 @@ class WorkerTimeout(HarnessError):
 class WorkerCrashed(HarnessError):
     """Raised when a worker process dies without returning a result.
 
-    The analog of an OOM-killed or SIGKILLed pool worker: the spec is not
+    The analog of an OOM-killed or SIGKILLed worker child: the spec is not
     at fault until it has crashed its worker repeatedly (poison jobs are
     quarantined by redelivery counting, not by this exception).
     """

@@ -320,7 +320,7 @@ the optimization changed behavior and is a bug.
 ## Scale: the harness recipe
 
 Every sweep above runs through one execution core, `repro.harness`:
-declarative `RunSpec`s fan out over a process pool, results land in a
+declarative `RunSpec`s fan out over worker processes, results land in a
 digest-keyed on-disk cache, and progress flows through a typed telemetry
 bus instead of prints.  The same knobs apply to every CLI sweep:
 

@@ -2,7 +2,7 @@
 
 For every probed application, run a solo baseline plus one co-run per
 (injector, level) cell — all through the standard harness, so the sweep
-is digest-cached, pool-parallel and bit-identical across execution
+is digest-cached, parallel and bit-identical across execution
 paths.  The records reduce to a :class:`~repro.cosched.profile.ProfileStore`
 (per-app sensitivity/intensity vectors) and a fitted
 :class:`~repro.cosched.predictor.PredictorModel` — the inputs the

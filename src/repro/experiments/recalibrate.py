@@ -40,7 +40,7 @@ def _combos() -> list[tuple[str, str]]:
 
 def _simulate(app: str, compiler: str, threads: int = 16) -> tuple[float, float]:
     # Straight through the harness's one execution path — but never its
-    # cache or process pool: each iteration here depends on the residual
+    # cache or worker processes: each iteration here depends on the residual
     # table mutated by the previous one.
     level = _CAL_LEVEL[compiler]
     record = execute_spec(RunSpec(app, compiler, level, threads=threads))

@@ -3,8 +3,9 @@
 Every sweep in :mod:`repro.experiments` is expressed as a list of
 declarative :class:`RunSpec` objects handed to a :class:`BatchExecutor`,
 which looks each spec up in the digest-keyed :class:`ResultCache`, fans
-the misses out over a process pool (or a serial loop), and narrates the
-whole thing as typed telemetry events:
+the misses out over killable :class:`SpecWorker` children, one spec per
+child at a time (or runs them in a serial loop), and narrates the whole
+thing as typed telemetry events:
 
     from repro.harness import BatchExecutor, ResultCache, RunSpec, stderr_bus
 

@@ -1,39 +1,36 @@
-"""Spec execution: serial, or fanned out over a process pool.
+"""Spec execution: serial, or fanned out over killable worker slots.
 
 :func:`execute_spec` is the one code path that turns a spec of any kind
 (:class:`~repro.harness.spec.Spec`) into its record — the serial loop, the
-pool workers, the smoke test and the benchmarks all call it, which is
+worker children, the smoke test and the benchmarks all call it, which is
 what makes "parallel is bit-identical to serial" a checkable property
 rather than a hope.
+
+:class:`SpecWorker` is the one child-process mechanism: a warm, killable
+child running one spec at a time, so its death
+(:class:`~repro.errors.WorkerCrashed`) or overrun
+(:class:`~repro.errors.WorkerTimeout`) is charged to exactly that spec.
+Sweeps and the experiment service both run on it;
+:func:`run_spec_subprocess` is its one-job use.
 
 :class:`BatchExecutor` adds the sweep machinery on top:
 
 * result cache lookup before any work is scheduled;
-* ``workers >= 2`` fans cache misses out over a
-  :class:`~concurrent.futures.ProcessPoolExecutor` (the runs are
-  deterministic, independent and CPU-bound — exactly the shape the GIL
-  starves and process pools rescue); anything less runs serially
-  in-process;
+* ``workers >= 2`` fans cache misses out over that many worker slots
+  (the runs are deterministic, independent and CPU-bound — exactly the
+  shape the GIL starves and separate processes rescue); anything less,
+  or a host that cannot fork, runs serially in-process;
 * results always return in input order, regardless of completion order;
-* bounded retry of worker failures; a broken pool (a worker was
-  OOM-killed mid-batch) is rebuilt and only the lost futures are
-  requeued, falling back to a serial in-process drain only once the
-  rebuild budget is exhausted;
+* bounded retry of spec failures, and bounded requeue of a spec whose
+  child died, so a poison spec fails instead of looping;
 * a cooperative cancellation hook (``run(..., cancel=event)``) so
   long sweeps can be abandoned between runs;
 * every step narrated as typed telemetry events on the bus.
-
-:class:`SpecWorker` is the hard-isolation unit the experiment service
-builds on: one warm, killable child process that runs the specs sent to
-it one at a time, with an enforced wall-clock deadline
-(:class:`~repro.errors.WorkerTimeout`) and crash detection
-(:class:`~repro.errors.WorkerCrashed`).  The service keeps one per busy
-slot and retires it on any failure; :func:`run_spec_subprocess` is the
-one-job use of the same child loop.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import multiprocessing
 import os
@@ -42,8 +39,7 @@ import stat
 import sys
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from multiprocessing.connection import wait
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.errors import HarnessError, SweepCancelled, WorkerCrashed, WorkerTimeout
@@ -63,23 +59,23 @@ def execute_spec(spec: Spec) -> MeasurementRecord:
 
 
 def _plain_entry(spec: Spec) -> tuple[MeasurementRecord, None]:
-    """Pool/serial entry for normal sweeps (no validation report)."""
+    """Worker/serial entry for normal sweeps (no validation report)."""
     return execute_spec(spec), None
 
 
 def _validated_entry(spec: Spec) -> "tuple[MeasurementRecord, ValidationReport]":
-    """Pool/serial entry for validate-mode sweeps.
+    """Worker/serial entry for validate-mode sweeps.
 
-    Top-level (picklable) so the process pool can ship it; the report is
-    all scalars, so it crosses the process boundary like the record does.
+    The report is all scalars, so it crosses the process boundary like
+    the record does.
     """
     from repro.validate.runner import validate_spec
 
     return validate_spec(spec)
 
 
-def _pool_initializer(paths: list[str]) -> None:
-    """Make ``repro`` importable in spawned workers (fork inherits it)."""
+def _prepend_parent_sys_path(paths: list[str]) -> None:
+    """Put the parent's ``sys.path`` entries ahead of the child's own."""
     for path in reversed(paths):
         if path not in sys.path:
             sys.path.insert(0, path)
@@ -88,15 +84,6 @@ def _pool_initializer(paths: list[str]) -> None:
 def _fork_context():
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else None)
-
-
-def _make_pool(workers: int) -> ProcessPoolExecutor:
-    return ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=_fork_context(),
-        initializer=_pool_initializer,
-        initargs=(list(sys.path),),
-    )
 
 
 def _reset_inherited_signals() -> None:
@@ -160,7 +147,7 @@ def _worker_main(conn, paths: list[str], entry) -> None:
     """
     _reset_inherited_signals()
     _detach_inherited_fds(conn.fileno())
-    _pool_initializer(paths)
+    _prepend_parent_sys_path(paths)
     while True:
         try:
             spec = conn.recv()
@@ -190,8 +177,11 @@ class SpecWorker:
     """One killable child process running specs sent to it, one at a time.
 
     The child forks on construction and calls ``entry(spec)`` for every
-    spec :meth:`run` sends.  After anything but a result (timeout, crash,
-    spec error) the caller should :meth:`close` the worker, not reuse it.
+    spec it is sent.  :meth:`run` is :meth:`send` then :meth:`receive`;
+    a worker is waitable by :func:`multiprocessing.connection.wait`, ready
+    once its child answered or died.  After anything but a result
+    (timeout, crash, spec error) the caller should :meth:`close` the
+    worker, not reuse it.
     """
 
     def __init__(self, entry: Callable = _plain_entry, *,
@@ -207,9 +197,13 @@ class SpecWorker:
         self._proc.start()
         child_conn.close()
         self.pid: int = self._proc.pid
+        self._spec: Optional[Spec] = None
 
     def is_alive(self) -> bool:
         return self._proc.is_alive()
+
+    def fileno(self) -> int:
+        return self._conn.fileno()
 
     def run(self, spec: Spec, *, timeout_s: Optional[float] = None):
         """Execute ``spec`` in the child; returns whatever ``entry`` returns.
@@ -220,27 +214,41 @@ class SpecWorker:
         without reporting a result (OOM kill, SIGKILL, hard crash), and
         re-raises the entry's own exception for ordinary spec failures.
         """
-        proc = self._proc
+        self.send(spec)
+        return self.receive(timeout_s=timeout_s)
+
+    def send(self, spec: Spec) -> None:
+        """Start ``spec`` in the child; :meth:`receive` collects its outcome."""
+        self._spec = spec
         try:
             self._conn.send(spec)
+        except OSError as exc:
+            raise self._crashed() from exc
+
+    def receive(self, *, timeout_s: Optional[float] = None):
+        """The outcome of the spec last sent, raising as :meth:`run` does."""
+        try:
             ready = self._conn.poll(timeout_s)
             if ready:
                 status, payload = self._conn.recv()
         except (EOFError, OSError) as exc:
-            proc.join(self.grace_s)
-            raise WorkerCrashed(
-                f"worker pid {self.pid} died without a result for "
-                f"{spec.describe()} (exitcode {proc.exitcode})"
-            ) from exc
+            raise self._crashed() from exc
         if not ready:
-            _kill_process(proc, self.grace_s)
+            _kill_process(self._proc, self.grace_s)
             raise WorkerTimeout(
-                f"{spec.describe()} exceeded its {timeout_s:.3g}s deadline "
-                f"(worker pid {self.pid} killed)"
+                f"{self._spec.describe()} exceeded its {timeout_s:.3g}s "
+                f"deadline (worker pid {self.pid} killed)"
             )
         if status == "err":
             raise payload
         return payload
+
+    def _crashed(self) -> WorkerCrashed:
+        self._proc.join(self.grace_s)
+        return WorkerCrashed(
+            f"worker pid {self.pid} died without a result for "
+            f"{self._spec.describe()} (exitcode {self._proc.exitcode})"
+        )
 
     def kill(self) -> None:
         """SIGKILL the child; a run in progress reports a crash.
@@ -287,7 +295,8 @@ class BatchExecutor:
     """Fans spec batches out to workers, cache-first.
 
     ``workers <= 1`` executes serially in-process (the deterministic
-    reference path); ``workers >= 2`` uses a process pool.  ``cache``
+    reference path); ``workers >= 2`` runs on that many
+    :class:`SpecWorker` slots.  ``cache``
     and ``bus`` are optional — by default nothing is persisted and
     telemetry is emitted into the void at near-zero cost.
     """
@@ -300,7 +309,6 @@ class BatchExecutor:
         bus: Optional[tel.TelemetryBus] = None,
         retries: int = 2,
         max_requeues: int = 2,
-        max_pool_rebuilds: int = 2,
         validate: bool = False,
         max_violation_events: int = 10,
         registry=None,
@@ -311,9 +319,6 @@ class BatchExecutor:
         if max_requeues < 0:
             raise HarnessError(
                 f"max_requeues must be >= 0, got {max_requeues!r}")
-        if max_pool_rebuilds < 0:
-            raise HarnessError(
-                f"max_pool_rebuilds must be >= 0, got {max_pool_rebuilds!r}")
         self.workers = max(0, int(workers))
         self.cache = cache
         self.bus = bus if bus is not None else tel.TelemetryBus()
@@ -322,9 +327,6 @@ class BatchExecutor:
         #: poison-job bound: a spec that keeps killing workers is failed
         #: rather than requeued forever).
         self.max_requeues = max_requeues
-        #: How many times a broken process pool is rebuilt (with only the
-        #: lost futures requeued) before degrading to a serial drain.
-        self.max_pool_rebuilds = max_pool_rebuilds
         #: Run every spec under the invariant checker and collect
         #: :class:`~repro.validate.violations.ValidationReport` objects in
         #: :attr:`validation_reports` (keyed by input index).  Cache hits
@@ -343,7 +345,6 @@ class BatchExecutor:
         self.tracer = tracer
         self._cache_lookups = None
         self._cache_puts = None
-        self._rebuild_counter = None
         self._run_seconds = None
         if registry is not None:
             runs = registry.counter(
@@ -359,9 +360,6 @@ class BatchExecutor:
             self._cache_puts = registry.counter(
                 "harness_cache_puts_total",
                 "Records written to the result cache after execution.")
-            self._rebuild_counter = registry.counter(
-                "harness_pool_rebuilds_total",
-                "Broken process pools rebuilt mid-sweep.")
             self._run_seconds = registry.histogram(
                 "harness_run_seconds",
                 "Per-spec execution wall seconds (cache hits excluded).")
@@ -425,7 +423,7 @@ class BatchExecutor:
 
         if pending:
             if self.workers >= 2 and len(pending) >= 2:
-                self._run_pool(sweep, specs, pending, records)
+                self._run_slots(sweep, specs, pending, records)
             else:
                 self._run_serial(sweep, specs, pending, records)
 
@@ -550,113 +548,95 @@ class BatchExecutor:
                 self._finish(sweep, specs, i, record, records, report)
                 break
 
-    def _run_pool(self, sweep: str, specs, pending: list[int],
-                  records: list) -> None:
+    def _run_slots(self, sweep: str, specs, pending: list[int],
+                   records: list) -> None:
+        """Run ``pending`` on up to ``workers`` :class:`SpecWorker` slots.
+
+        A slot's child holds one spec at a time, so its death costs that
+        spec alone: it is requeued on a fresh child, at most
+        ``max_requeues`` times.  A spec error retires the child too and
+        goes through ``retries``.  If no child can be forked, the specs
+        not yet handed out run serially in-process.
+        """
         total = len(specs)
-        attempts: dict[int, int] = {}
-        redeliveries: dict[int, int] = {}
-        started: set[int] = set()
-        queue: list[int] = list(pending)
-        rebuilds = 0
-        while queue and not self._cancelled():
+        slots = min(self.workers, len(pending))
+        queue = collections.deque(pending)
+        attempts = dict.fromkeys(pending, 0)  # 0: not started yet
+        redeliveries = dict.fromkeys(pending, 0)
+        busy: dict[SpecWorker, int] = {}
+        idle: list[SpecWorker] = []
+
+        def start(worker: SpecWorker, i: int) -> None:
+            if not attempts[i]:
+                attempts[i] = 1
+                self._emit(tel.RunStarted(
+                    sweep=sweep, index=i, total=total,
+                    label=specs[i].describe(),
+                ))
             try:
-                pool = _make_pool(min(self.workers, len(queue)))
-            except (OSError, ValueError) as exc:
-                self._emit(tel.Note(
-                    f"process pool unavailable ({exc!r}); running serially"))
-                self._run_serial(sweep, specs, queue, records)
+                worker.send(specs[i])
+            except Exception as exc:
+                lost(worker, i, exc)
                 return
-            lost: list[int] = []
-            with pool:
-                futures: dict[Future, int] = {}
-                broken = False
-                for pos, i in enumerate(queue):
-                    if i not in started:
-                        started.add(i)
-                        attempts[i] = 1
-                        self._emit(tel.RunStarted(
-                            sweep=sweep, index=i, total=total,
-                            label=specs[i].describe(),
-                        ))
-                    try:
-                        futures[pool.submit(self._entry, specs[i])] = i
-                    except (BrokenProcessPool, RuntimeError):
-                        broken = True
-                        lost.extend(queue[pos:])
-                        break
-                queue = []
-                while futures and not broken and not self._cancelled():
-                    done, _ = wait(futures, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        i = futures.pop(future)
-                        try:
-                            record, report = future.result()
-                        except BrokenProcessPool:
-                            broken = True
-                            lost.append(i)
-                            continue
-                        except Exception as exc:
-                            if attempts[i] <= self.retries:
-                                self._emit(tel.RunRetried(
-                                    sweep=sweep, index=i, total=total,
-                                    label=specs[i].describe(),
-                                    attempt=attempts[i], error=repr(exc),
-                                ))
-                                attempts[i] += 1
-                                try:
-                                    futures[pool.submit(self._entry,
-                                                        specs[i])] = i
-                                except (BrokenProcessPool, RuntimeError):
-                                    broken = True
-                                    lost.append(i)
-                            else:
-                                self._fail(sweep, specs, i, attempts[i], exc,
-                                           records)
-                            continue
-                        self._finish(sweep, specs, i, record, records, report)
-                # Whatever was still in flight when the pool broke (or
-                # the sweep was cancelled) is lost with its workers.
-                lost.extend(futures.values())
-                futures.clear()
-            if self._cancelled():
-                return
-            if not lost:
-                return
-            # Requeue only the lost futures, bounded per spec so a poison
-            # job that keeps killing its worker cannot loop forever.
-            for i in sorted(lost):
-                redeliveries[i] = redeliveries.get(i, 0) + 1
+            busy[worker] = i
+
+        def lost(worker: SpecWorker, i: int, exc: Exception) -> None:
+            worker.close()
+            label = specs[i].describe()
+            if isinstance(exc, WorkerCrashed):
+                redeliveries[i] += 1
                 if redeliveries[i] > self.max_requeues:
-                    self._fail(
-                        sweep, specs, i, attempts[i],
-                        WorkerCrashed(
-                            f"{specs[i].describe()} lost its worker "
-                            f"{redeliveries[i]} times (poison job?)"
-                        ),
-                        records,
-                    )
-                else:
-                    queue.append(i)
-                    self._emit(tel.RunRequeued(
-                        sweep=sweep, index=i, total=total,
-                        label=specs[i].describe(),
-                        redelivery=redeliveries[i],
-                    ))
-            if not queue:
+                    self._fail(sweep, specs, i, attempts[i], WorkerCrashed(
+                        f"{label} lost its worker {redeliveries[i]} times "
+                        "(poison job?)"), records)
+                    return
+                self._emit(tel.RunRequeued(
+                    sweep=sweep, index=i, total=total, label=label,
+                    redelivery=redeliveries[i],
+                ))
+            elif attempts[i] <= self.retries:
+                self._emit(tel.RunRetried(
+                    sweep=sweep, index=i, total=total, label=label,
+                    attempt=attempts[i], error=repr(exc),
+                ))
+                attempts[i] += 1
+            else:
+                self._fail(sweep, specs, i, attempts[i], exc, records)
                 return
-            rebuilds += 1
-            if self._rebuild_counter is not None:
-                self._rebuild_counter.inc()
-            if rebuilds > self.max_pool_rebuilds:
-                self._emit(tel.Note(
-                    f"process pool broke {rebuilds} times; finishing "
-                    f"{len(queue)} runs serially in-process"))
-                self._run_serial(sweep, specs, queue, records)
-                return
-            self._emit(tel.Note(
-                f"process pool broke; rebuilding (attempt {rebuilds}/"
-                f"{self.max_pool_rebuilds}) and requeueing "
-                f"{len(queue)} lost runs"))
+            queue.appendleft(i)
+
+        try:
+            while True:
+                while len(busy) < slots and queue and not self._cancelled():
+                    try:
+                        worker = idle.pop() if idle else SpecWorker(self._entry)
+                    except (OSError, ValueError) as exc:
+                        self._emit(tel.Note(
+                            f"no worker could be forked ({exc!r}); "
+                            "running serially"))
+                        self._run_serial(sweep, specs, list(queue), records)
+                        queue.clear()
+                        break
+                    start(worker, queue.popleft())
+                if not busy:
+                    return
+                for worker in wait(list(busy)):
+                    i = busy.pop(worker)
+                    try:
+                        record, report = worker.receive()
+                    except Exception as exc:
+                        lost(worker, i, exc)
+                        continue
+                    # Keep the child busy while this process does the
+                    # cache put and the telemetry.
+                    if queue and not self._cancelled():
+                        start(worker, queue.popleft())
+                    else:
+                        idle.append(worker)
+                    self._finish(sweep, specs, i, record, records, report)
+        finally:
+            for worker in [*busy, *idle]:
+                worker.close()
 
     # ------------------------------------------------------------------
     def run_one(self, spec: Spec, *, sweep: str = "run") -> MeasurementRecord:

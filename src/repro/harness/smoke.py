@@ -6,15 +6,16 @@ the harness exists to provide:
 
 1. the first pass executes every spec (parallel when the host allows);
 2. the second, identical pass is served *entirely* from the cache;
-3. both passes return bit-identical records in the same order.
+3. both passes return bit-identical records in the same order;
+4. no worker child is left alive once the sweeps return.
 
 A third phase drives the sharded store directly with a burst of
 distinct puts in its own throwaway root and pins its bookkeeping:
 
-4. every digest in the burst counts exactly once;
-5. after a warm query each shard's indexed offset equals its ledger
+5. every digest in the burst counts exactly once;
+6. after a warm query each shard's indexed offset equals its ledger
    size, so no ledger byte is left unfolded;
-6. ``compact()`` leaves every execution count unchanged, in the live
+7. ``compact()`` leaves every execution count unchanged, in the live
    index and in one rebuilt from the rewritten ledgers.
 
 Exits non-zero (with a diagnosis on stderr) if any of that fails, so it
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import multiprocessing
 import sqlite3
 import sys
 import tempfile
@@ -117,6 +119,11 @@ def run_smoke(cache_root: str, workers: int = 2, quiet: bool = False) -> int:
         failures.append("cached records differ from freshly executed ones")
     if any(s.failed for s in (summary1, summary2)):
         failures.append("sweep reported failed runs")
+    leftover = multiprocessing.active_children()
+    if leftover:
+        failures.append(
+            f"{len(leftover)} worker children still alive after the sweeps: "
+            f"pids {sorted(child.pid for child in leftover)}")
     failures += _store_failures()
 
     if failures:

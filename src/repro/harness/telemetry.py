@@ -104,11 +104,11 @@ class RunRetried:
 
 @dataclass(frozen=True)
 class RunRequeued:
-    """A run was resubmitted after its worker process died.
+    """A run was resubmitted after its own worker died.
 
-    Unlike :class:`RunRetried`, the spec itself did not fail — the pool
-    lost the worker executing it (OOM kill, SIGKILL) — so the resubmit
-    counts against the redelivery budget, not the retry budget.
+    Unlike :class:`RunRetried`, the spec itself did not fail — the child
+    process running it, and only it, died (OOM kill, SIGKILL) — so the
+    resubmit counts against the redelivery budget, not the retry budget.
     """
 
     sweep: str

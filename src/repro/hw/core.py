@@ -72,7 +72,7 @@ class Segment(_SegmentFields):
     Apps, the runtime and the daemon build a segment per simulated work
     item (hundreds of thousands per sweep), so its construction cost is
     on the hot path.  Unpickling goes back through the validating
-    constructor, so a segment shipped to a pool worker is checked again.
+    constructor, so a segment shipped to a worker child is checked again.
 
     Attributes
     ----------

@@ -25,7 +25,7 @@ Lifecycle counters (``harness_runs_total``, ``service_events_total``,
 ``sched_jobs_dispatched_total``, ``sched_jobs_shed_total``) are not
 counted by the components: they are folded into the registry from the
 lifecycle events by :data:`repro.harness.telemetry.FOLD`.  Everything
-else (wall-time histograms, cache and pool counters, gauges) is a
+else (wall-time histograms, cache counters, gauges) is a
 direct instrument call.
 """
 

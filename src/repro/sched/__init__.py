@@ -30,7 +30,7 @@ coordinator.PowerCoordinator` re-dividing the budget, hardened teardown,
   that make million-job sweeps tractable and auditable;
 * :mod:`~repro.sched.spec` / :mod:`~repro.sched.result` — digestable
   specs and picklable SLO results that ride the harness cache and
-  process-pool fan-out unchanged.
+  worker fan-out unchanged.
 
 The scheduler's per-job events (``JobSubmitted``, ``JobRejected``,
 ``JobPlaced``, ``SchedJobFinished``, ``SchedFinished``) are defined with

@@ -2,13 +2,13 @@
 
 Each busy slot holds one warm child process — a
 :class:`repro.harness.executor.SpecWorker`, forked lazily the first time
-the slot needs one — and reuses it across jobs, one job at a time.
-Unlike a shared ``ProcessPoolExecutor`` worker, the child can be killed
-on timeout or cancel without collateral damage, and because it only ever
-holds one job its death is attributable to exactly that job (which is
-what makes redelivery counting and poison quarantine sound).  A worker
-is retired, never reused, after any outcome but ``ok``: crash, timeout
-or spec error.
+the slot needs one — and reuses it across jobs, one job at a time, as
+:class:`~repro.harness.executor.BatchExecutor` sweeps do with their
+slots.  The child can be killed on timeout or cancel without collateral
+damage, and because it only ever holds one job its death is attributable
+to exactly that job (which is what makes redelivery counting and poison
+quarantine sound).  A worker is retired, never reused, after any outcome
+but ``ok``: crash, timeout or spec error.
 
 Inside the child each spec goes through a one-shot
 :class:`~repro.harness.executor.BatchExecutor` with the service's

@@ -5,15 +5,16 @@ Three layers:
 * :func:`validate_spec` — run one spec under the
   :class:`~repro.validate.checker.InvariantChecker`, audit the resulting
   record, classify violations against the spec's fault config and return
-  ``(record, report)``.  Top-level and all-scalar, so the harness can fan
-  it out over a process pool.
+  ``(record, report)``.  Top-level and all-scalar, so the harness can run
+  it in its worker children.
 * :func:`run_validation_sweep` — sweep a spec list in validate mode
   through the :class:`~repro.harness.executor.BatchExecutor` and
   aggregate per-run reports.
 * :func:`differential_sweep` — replay a fault-free slice through the
   *unchecked serial*, *checked serial* and *unchecked parallel* paths and
   assert all three produce bit-identical records: proof the checker
-  observes without perturbing and the pool without reordering physics.
+  observes without perturbing and the worker slots without reordering
+  physics.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ class DifferentialResult:
     checked_identical: list[bool] = field(default_factory=list)
     #: Per-spec: parallel record == unchecked serial record.
     parallel_identical: list[bool] = field(default_factory=list)
-    #: True when the pool genuinely ran with >= 2 workers (on a
+    #: True when the sweep genuinely ran on >= 2 workers (on a
     #: single-core host the executor may fall back to serial — the
     #: comparison still holds, it is just less adversarial).
     pooled: bool = False

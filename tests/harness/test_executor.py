@@ -1,5 +1,8 @@
 """BatchExecutor: parallel == serial, retries, fallbacks, ordering."""
 
+import multiprocessing
+import os
+
 import pytest
 
 from repro.errors import HarnessError
@@ -10,7 +13,6 @@ from repro.harness import (
     RunSpec,
     TelemetryBus,
 )
-from repro.harness import executor as executor_mod
 from repro.harness import telemetry as tel
 from repro.experiments.table1 import table1_specs
 
@@ -30,6 +32,7 @@ def test_parallel_sweep_is_bit_identical_to_serial():
     for spec, s, p in zip(specs, serial, parallel):
         assert s.spec == spec  # input order preserved
         assert p == s  # bit-identical measurement (wall_s excluded)
+    assert not multiprocessing.active_children()  # every slot reaped
 
 
 def test_serial_retry_budget_then_harness_error():
@@ -65,16 +68,17 @@ def test_mixed_failure_still_raises_but_good_runs_complete():
 
 
 def test_pool_unavailable_falls_back_to_serial(monkeypatch):
-    def broken_pool(workers):
+    def no_fork():
         raise OSError("no processes for you")
 
-    monkeypatch.setattr(executor_mod, "_make_pool", broken_pool)
+    monkeypatch.setattr(os, "fork", no_fork)
     sink = ListSink()
     specs = _slice_specs()
     records = BatchExecutor(workers=4, bus=TelemetryBus([sink])).run(specs)
     assert all(r is not None for r in records)
     [note] = sink.of_type(tel.Note)
     assert "running serially" in note.message
+    assert not multiprocessing.active_children()
     assert records == BatchExecutor(workers=0).run(specs)
 
 

@@ -2,7 +2,7 @@
 
 These are the issue-mandated integration properties: the same spec must
 produce a bit-identical :class:`SchedResult` whether run serially,
-re-run, or fanned out through the :class:`BatchExecutor` process pool;
+re-run, or fanned out over the :class:`BatchExecutor` worker slots;
 the admission queue bound must hold over a saturating trace; and every
 placement policy must complete a small run under a global power budget.
 """

@@ -33,7 +33,9 @@ from repro.service.client import ServiceClient
 pytestmark = pytest.mark.service
 
 FAST = [RunSpec("nqueens", scale=0.05, seed=s) for s in (1, 2)]
-SLOW = RunSpec("mergesort", scale=2.0, seed=3)
+#: ~3 s of wall time in-process on a 2-core host, so it is still running
+#: while the duplicate is submitted and the kill lands.
+SLOW = RunSpec("mergesort", scale=300.0, seed=3, throttle=True)
 QUEUED = [RunSpec("reduction", scale=0.05, seed=s) for s in (4, 5)]
 
 
