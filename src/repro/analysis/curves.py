@@ -56,9 +56,6 @@ class ScalingSeries:
     def speedups(self) -> list[tuple[int, float]]:
         return [(p.threads, self.speedup(p.threads)) for p in self.points]
 
-    def normalized_energies(self) -> list[tuple[int, float]]:
-        return [(p.threads, self.normalized_energy(p.threads)) for p in self.points]
-
     def _at(self, threads: int) -> ScalingPoint:
         for point in self.points:
             if point.threads == threads:

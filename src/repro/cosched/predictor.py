@@ -195,11 +195,6 @@ class PredictorModel:
     def predict_watts(self, app: str, threads: int) -> float:
         return self.resolve(app, threads).watts
 
-    def predict_energy_j(self, app: str, threads: int, scale: float,
-                         pressure: float = 0.0) -> float:
-        return (self.predict_watts(app, threads)
-                * self.predict_time_s(app, threads, scale, pressure))
-
     def predict_edp(self, app: str, threads: int, scale: float,
                     pressure: float = 0.0) -> float:
         """Energy-delay product of one job under ``pressure``.
@@ -211,9 +206,6 @@ class PredictorModel:
         t = (entry.unit_time_s * scale
              * (1.0 + entry.sens_slope * max(0.0, pressure)))
         return entry.watts * t * t
-
-    def intensity_of(self, app: str, threads: int) -> float:
-        return self.resolve(app, threads).intensity
 
     def sensitivity_of(self, app: str, threads: int) -> float:
         return self.resolve(app, threads).sens_slope

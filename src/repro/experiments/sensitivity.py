@@ -35,10 +35,6 @@ class SensitivityPoint:
     activations: int
     time_throttled_s: float
 
-    @property
-    def edp(self) -> float:
-        return self.energy_j * self.time_s
-
 
 @dataclass
 class SensitivityResult:

@@ -171,18 +171,3 @@ class Core:
     #: IA32_APERF: actual (duty-modulated) cycles while in C0.  The ratio
     #: APERF/MPERF is how software observes clock modulation.
     aperf_cycles: float = field(default=0.0)
-
-    @property
-    def is_busy(self) -> bool:
-        return self.state is CoreState.BUSY
-
-    @property
-    def is_spinning(self) -> bool:
-        return self.state is CoreState.SPIN
-
-    @property
-    def demand_fraction(self) -> float:
-        """Memory fraction the core currently presents to its socket."""
-        if self.state is CoreState.BUSY and self.segment is not None:
-            return self.segment.mem_fraction
-        return 0.0

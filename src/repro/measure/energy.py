@@ -302,17 +302,3 @@ class MultiSocketEnergyReader:
     def poll(self) -> list[float]:
         """Poll every socket; returns per-socket cumulative Joules."""
         return [reader.poll() for reader in self.readers]
-
-    def poll_samples(self, window_s: Optional[float] = None) -> list[EnergySample]:
-        """Hardened poll of every socket."""
-        return [reader.poll_sample(window_s) for reader in self.readers]
-
-    @property
-    def totals_j(self) -> list[float]:
-        """Per-socket cumulative Joules at the last poll."""
-        return [reader.total_joules for reader in self.readers]
-
-    @property
-    def total_j(self) -> float:
-        """Whole-node cumulative Joules at the last poll."""
-        return sum(reader.total_joules for reader in self.readers)

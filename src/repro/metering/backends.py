@@ -107,10 +107,6 @@ class RaplBackend(MeterBackend):
     def __init__(self, msr: MSRFile, sockets: int, *, retry_limit: int = 3) -> None:
         self._energy = MultiSocketEnergyReader(msr, sockets, retry_limit=retry_limit)
 
-    @property
-    def readers(self):  # noqa: ANN201 - convenience passthrough for tests
-        return self._energy.readers
-
     def poll_sample(self, socket: int, window_s: "float | None") -> EnergySample:
         return self._energy.readers[socket].poll_sample(window_s)
 

@@ -13,25 +13,18 @@ Mirrors the structure of the Qthreads library the paper builds on
   domains (one per socket/L3 by default) owning LIFO work queues, with
   FIFO work stealing between shepherds (the Sherwood hierarchical
   scheduler [1]);
-* **FEB** (:mod:`repro.qthreads.feb`) — full/empty-bit synchronisation;
 * **throttling hooks** — shepherd-local active-thread limits and the
   spin-loop state used by the MAESTRO throttle controller (Section IV).
 """
 
 from repro.qthreads.api import (
     Compute,
-    FebReadFE,
-    FebReadFF,
-    FebWriteEF,
-    FebWriteF,
     RegionBoundary,
     Spawn,
     Taskwait,
     Work,
     YieldTask,
 )
-from repro.qthreads.sync import Barrier, Future
-from repro.qthreads.feb import Feb
 from repro.qthreads.runtime import Runtime, RunResult
 from repro.qthreads.scheduler import Scheduler
 from repro.qthreads.shepherd import Shepherd
@@ -39,15 +32,8 @@ from repro.qthreads.task import Task, TaskState
 from repro.qthreads.worker import Worker
 
 __all__ = [
-    "Barrier",
     "Compute",
-    "Feb",
-    "Future",
     "RegionBoundary",
-    "FebReadFE",
-    "FebReadFF",
-    "FebWriteEF",
-    "FebWriteF",
     "RunResult",
     "Runtime",
     "Scheduler",

@@ -24,13 +24,9 @@ ROSE/XOMP into calls that create qthreads; here the OpenMP layer
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import Any, Generator, Optional
 
 from repro.hw.core import Segment
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.qthreads.feb import Feb
-    from repro.qthreads.task import Task
 
 #: Generator type for task bodies.
 TaskGen = Generator[Any, Any, Any]
@@ -106,46 +102,3 @@ class RegionBoundary:
 
     kind: str = "loop"
 
-
-@dataclass(frozen=True)
-class FebWriteEF:
-    """qthread_writeEF: wait until empty, write value, mark full."""
-
-    feb: "Feb"
-    value: Any = None
-
-
-@dataclass(frozen=True)
-class FebWriteF:
-    """qthread_fill/writeF: write value and mark full regardless of state."""
-
-    feb: "Feb"
-    value: Any = None
-
-
-@dataclass(frozen=True)
-class FebReadFF:
-    """qthread_readFF: wait until full, send back the value, leave full."""
-
-    feb: "Feb"
-
-
-@dataclass(frozen=True)
-class FebReadFE:
-    """qthread_readFE: wait until full, send back the value, mark empty."""
-
-    feb: "Feb"
-
-
-#: Union of operation types for isinstance dispatch in the worker.
-TaskOp = (
-    Compute,
-    Spawn,
-    Taskwait,
-    YieldTask,
-    RegionBoundary,
-    FebWriteEF,
-    FebWriteF,
-    FebReadFF,
-    FebReadFE,
-)

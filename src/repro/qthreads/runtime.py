@@ -134,10 +134,12 @@ class Runtime:
                 raise SimulationError(
                     f"program exceeded time limit of {time_limit_s} simulated seconds"
                 )
-            blocked = self.scheduler.blocked_tasks()
+            sched = self.scheduler
+            spinning = sum(len(s.spinning_workers) for s in sched.shepherds)
             raise DeadlockError(
-                f"no runnable work but root task incomplete; "
-                f"{len(blocked)} visibly blocked tasks: {blocked[:5]!r}"
+                f"no runnable work but root task {root.label!r} incomplete: "
+                f"{root.pending_children} pending child(ren), queue depths "
+                f"{sched.queue_depths()}, {spinning} spinning worker(s)"
             )
 
         elapsed = self.engine.now - start_time

@@ -1,8 +1,8 @@
 """Hierarchical (Sherwood) scheduler with MAESTRO throttling hooks.
 
 Owns the shepherds and workers, routes task enqueues and wake-ups, picks
-steal victims, settles FEB wait queues, and exposes the two control knobs
-the throttle controller drives:
+steal victims, and exposes the two control knobs the throttle controller
+drives:
 
 * :meth:`Scheduler.apply_throttle` — engage shepherd-local active-thread
   limits; workers discover them at their next thread-initiation point;
@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.config import MachineConfig, RuntimeConfig
 from repro.errors import SchedulerError
-from repro.qthreads.feb import Feb
 from repro.qthreads.shepherd import Shepherd
 from repro.qthreads.task import Task, TaskState
 from repro.qthreads.worker import Worker
@@ -170,33 +169,6 @@ class Scheduler:
         return None
 
     # ------------------------------------------------------------------
-    # FEB settlement
-    # ------------------------------------------------------------------
-    def feb_settle(self, feb: Feb) -> None:
-        """Wake FEB waiters enabled by a state transition.
-
-        One fill wakes every pending ``readFF`` plus at most one
-        ``readFE``; the resulting empty admits one parked ``writeEF``,
-        which may cascade further — hence the loop.
-        """
-        while True:
-            if feb.full and feb.waiting_readers:
-                task, consume = feb.waiting_readers.popleft()
-                ok, value = feb.try_read(consume=consume)
-                assert ok, "FEB invariant: read from full word must succeed"
-                task.resume_value = value
-                self.enqueue(task, task.shepherd_hint)
-                continue
-            if not feb.full and feb.waiting_writers:
-                task, value = feb.waiting_writers.popleft()
-                ok = feb.try_write(value, require_empty=True)
-                assert ok, "FEB invariant: write to empty word must succeed"
-                task.resume_value = None
-                self.enqueue(task, task.shepherd_hint)
-                continue
-            return
-
-    # ------------------------------------------------------------------
     # MAESTRO throttling control surface
     # ------------------------------------------------------------------
     def apply_throttle(self, total_active_threads: int) -> None:
@@ -243,15 +215,6 @@ class Scheduler:
     def active_worker_total(self) -> int:
         """Workers not spinning, across all shepherds."""
         return sum(s.active_count for s in self.shepherds)
-
-    def blocked_tasks(self) -> list[Task]:
-        """Tasks parked on FEBs or taskwait (best-effort, for diagnostics)."""
-        seen: list[Task] = []
-        for shepherd in self.shepherds:
-            for worker in shepherd.workers:
-                if worker.current is not None and worker.current.state is TaskState.BLOCKED:
-                    seen.append(worker.current)
-        return seen
 
     def queue_depths(self) -> list[int]:
         """Current queue depth per shepherd."""

@@ -1,10 +1,9 @@
 """Lightweight task (qthread) state.
 
 A task wraps a generator plus the bookkeeping the scheduler needs:
-parent/child links for taskwait, a resume value for the generator send
-channel, the shepherd it last ran on (locality hint for re-enqueueing),
-and completion listeners (used by the runtime for the root task and by
-FEB-free joins).
+parent/child links for taskwait, the shepherd it last ran on (locality
+hint for re-enqueueing), and completion listeners (used by the runtime
+for the root task).
 
 Unlike heavyweight pthreads, tasks have no identity beyond this object —
 matching the Qthreads design point of small context, no per-thread signal
@@ -44,8 +43,6 @@ class Task:
         "state",
         "pending_children",
         "waiting_children",
-        "resume_value",
-        "resume_exc",
         "result",
         "shepherd_hint",
         "listeners",
@@ -67,10 +64,6 @@ class Task:
         self.pending_children = 0
         #: True while blocked in a taskwait.
         self.waiting_children = False
-        #: Value to send into the generator at next resume.
-        self.resume_value: Any = None
-        #: Exception to throw into the generator at next resume.
-        self.resume_exc: Optional[BaseException] = None
         #: Return value of the generator once DONE.
         self.result: Any = None
         #: Shepherd the task last ran on (re-enqueue locality).

@@ -3,8 +3,7 @@
 A worker drives task generators: it pops a task from its shepherd's LIFO
 queue (stealing FIFO from other shepherds when empty), advances the
 generator, and translates yielded operations into machine actions —
-work segments assigned to its core, child spawns, blocking on taskwait or
-FEBs.
+work segments assigned to its core, child spawns, blocking on taskwait.
 
 Runtime overheads (spawn, steal, queue operations) are configured in
 cycles, converted to seconds once by the scheduler, and folded into the
@@ -29,17 +28,7 @@ from typing import Any, Optional, TYPE_CHECKING
 from repro.errors import SchedulerError
 from repro.hw.core import Segment
 from repro.hw.msr import IA32_CLOCK_MODULATION, encode_clock_modulation
-from repro.qthreads.api import (
-    Compute,
-    FebReadFE,
-    FebReadFF,
-    FebWriteEF,
-    FebWriteF,
-    RegionBoundary,
-    Spawn,
-    Taskwait,
-    YieldTask,
-)
+from repro.qthreads.api import Compute, RegionBoundary, Spawn, Taskwait, YieldTask
 from repro.qthreads.task import Task, TaskState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -162,8 +151,7 @@ class Worker:
         self.current = task
         self.state = WorkerState.RUNNING
         self.tasks_run += 1
-        value, task.resume_value = task.resume_value, None
-        self._advance(value)
+        self._advance(None)
 
     def _on_segment_done(self) -> None:
         """Node callback: the core finished its segment."""
@@ -223,33 +211,6 @@ class Worker:
                 self.pending_overhead_s += sched.queue_op_s
                 # Behind the local work, or a LIFO pop hands it right back.
                 sched.enqueue(task, self.shepherd.sid, cold=True)
-                self._park_and_seek()
-                return
-
-            if isinstance(op, FebWriteF):
-                op.feb.try_write(op.value, require_empty=False)
-                sched.feb_settle(op.feb)
-                continue
-
-            if isinstance(op, FebWriteEF):
-                if op.feb.try_write(op.value, require_empty=True):
-                    sched.feb_settle(op.feb)
-                    continue
-                task.state = TaskState.BLOCKED
-                op.feb.waiting_writers.append((task, op.value))
-                self._park_and_seek()
-                return
-
-            if isinstance(op, (FebReadFF, FebReadFE)):
-                consume = isinstance(op, FebReadFE)
-                ok, feb_value = op.feb.try_read(consume=consume)
-                if ok:
-                    if consume:
-                        sched.feb_settle(op.feb)
-                    value = feb_value
-                    continue
-                task.state = TaskState.BLOCKED
-                op.feb.waiting_readers.append((task, consume))
                 self._park_and_seek()
                 return
 

@@ -213,9 +213,6 @@ class SchedResult:
     def slowdown_percentile(self, pct: float) -> float:
         return self._tail("slowdown", "slowdown_sketch", pct)
 
-    def energy_percentile_j(self, pct: float) -> float:
-        return self._tail("energy_j", "energy_sketch", pct)
-
     # ------------------------------------------- harness-compatible view
     #: The executor's telemetry reads time_s/energy_j/watts off whatever
     #: record a spec produces; for a scheduled run the natural analogues

@@ -14,23 +14,20 @@ Two cooperating pieces:
   blackboard, applies the policy, and flips the scheduler's
   shepherd-local limits.
 
-Actuation (per-core duty-cycle modulation to 1/32, and the DVFS/OS-idle
-comparators for the ablation benches) lives in
+The workers actuate a throttle themselves, duty-cycling each spinning
+core to 1/32 through its clock-modulation MSR.  The chip-wide DVFS
+comparator the Section IV claim is tested against lives in
 :mod:`repro.throttle.dutycycle`.
 """
 
 from repro.throttle.clamp import PowerClampController
 from repro.throttle.controller import ThrottleController
-from repro.throttle.dutycycle import DutyCycleActuator, DvfsActuator, OsIdleActuator
-from repro.throttle.dvfs_controller import DvfsEnergyController
+from repro.throttle.dutycycle import DvfsActuator
 from repro.throttle.policy import Band, ThrottleDecision, ThrottlePolicy, classify
 
 __all__ = [
     "Band",
-    "DutyCycleActuator",
     "DvfsActuator",
-    "DvfsEnergyController",
-    "OsIdleActuator",
     "PowerClampController",
     "ThrottleController",
     "ThrottleDecision",

@@ -1,26 +1,21 @@
-"""Low-power actuators: duty-cycle modulation, DVFS, OS idle.
+"""Duty-cycle legality and the chip-wide DVFS comparator.
 
 The paper argues for per-core duty-cycle modulation over DVFS
 (Section IV): DVFS "requires tens of thousands of cycles to adjust
 voltage" and "could only slow all cores or none, whereas our duty cycle
 changes are per-core"; duty-cycle modification "takes only the amount of
-time equivalent to approximately 250 memory operations".  It also
-compares against turning threads off at the OS level, which saves more
-power but is slower to reverse (Table IV discussion).
+time equivalent to approximately 250 memory operations".
 
-These three actuators expose that design space for the ablation benches.
-The duty-cycle actuator is the one the MAESTRO runtime itself uses
-(workers call the MSR directly; see :mod:`repro.qthreads.worker`).
+The MAESTRO workers write the clock-modulation MSR themselves (see
+:mod:`repro.qthreads.worker`); :func:`representable_duty` says which duty
+cycles that MSR can realise.  :class:`DvfsActuator` is the chip-wide
+comparator the Section IV claim test runs against.
 """
 
 from __future__ import annotations
 
 from repro.errors import SimulationError
-from repro.hw.msr import (
-    IA32_CLOCK_MODULATION,
-    decode_clock_modulation,
-    encode_clock_modulation,
-)
+from repro.hw.msr import decode_clock_modulation, encode_clock_modulation
 from repro.hw.node import Node
 from repro.sim.events import Priority
 
@@ -41,32 +36,6 @@ def representable_duty(duty: float, *, steps: int = 32) -> bool:
     if not 0.0 < duty <= 1.0:
         return False
     return decode_clock_modulation(encode_clock_modulation(duty, steps=steps), steps=steps) == duty
-
-
-class DutyCycleActuator:
-    """Per-core clock modulation via IA32_CLOCK_MODULATION.
-
-    Fast (≈250 memory operations, modelled by the node's MSR commit
-    delay) and per-core — the properties the paper's throttler needs.
-    """
-
-    def __init__(self, node: Node) -> None:
-        self.node = node
-        self.writes = 0
-
-    def set_duty(self, core: int, duty: float) -> None:
-        """Request ``duty`` on one core (commits after actuation latency)."""
-        self.node.msr.write_core(
-            core,
-            IA32_CLOCK_MODULATION,
-            encode_clock_modulation(duty),
-            privileged=True,
-        )
-        self.writes += 1
-
-    def restore(self, core: int) -> None:
-        """Restore full-speed operation on one core."""
-        self.set_duty(core, 1.0)
 
 
 class DvfsActuator:
@@ -100,29 +69,3 @@ class DvfsActuator:
             self.transition_s, commit, priority=Priority.MACHINE,
             label=f"dvfs-commit socket={socket}",
         )
-
-    def restore(self, socket: int) -> None:
-        """Return the socket to nominal frequency (after transition cost)."""
-        self.set_frequency_ratio(socket, 1.0)
-
-
-class OsIdleActuator:
-    """OS-level thread parking (deep C-state) — the most-savings comparator.
-
-    "The execution time matched the 12 thread case, but turning the
-    threads off at the OS level saved an additional 10.2 W and 519 J"
-    (Table IV discussion).  Parking is cheap to model but in reality takes
-    an OS scheduling round-trip, so the runtime cannot flicker it the way
-    it can a duty cycle; experiments use it only for fixed configurations.
-    """
-
-    def __init__(self, node: Node) -> None:
-        self.node = node
-
-    def park(self, core: int) -> None:
-        """Take a core offline (zero power)."""
-        self.node.set_off(core)
-
-    def unpark(self, core: int) -> None:
-        """Bring a core back online (idle state)."""
-        self.node.set_idle(core)

@@ -58,7 +58,7 @@ from repro.validate.cosched import (
     run_cosched_validation,
 )
 from repro.validate.metering import check_overhead_monotone
-from repro.validate.obs import check_obs, check_snapshot as check_obs_snapshot
+from repro.validate.obs import check_snapshot as check_obs_snapshot
 from repro.validate.records import check_record
 from repro.validate.scale import (
     ScaleValidationResult,
@@ -93,7 +93,6 @@ __all__ = [
     "check_cosched",
     "check_cosched_model",
     "check_cosched_store",
-    "check_obs",
     "check_obs_snapshot",
     "check_overhead_monotone",
     "check_record",

@@ -158,8 +158,3 @@ def _check_books(snapshot: "MetricsSnapshot") -> Iterable[Violation]:
                 category="ledger",
                 message=f"registry books: {name} is {value!r}, not >= 0",
             )
-
-
-def check_obs(snapshot: "MetricsSnapshot") -> List[Violation]:
-    """Alias mirroring :func:`repro.validate.cosched.check_cosched`."""
-    return check_snapshot(snapshot)

@@ -1,8 +1,7 @@
-"""FEB semantics and the Sherwood work queues."""
+"""The Sherwood work queues and task bookkeeping."""
 
 import pytest
 
-from repro.qthreads.feb import Feb
 from repro.qthreads.queues import WorkQueue
 from repro.qthreads.task import Task
 
@@ -11,57 +10,6 @@ def _task(label="t"):
     def gen():
         yield None
     return Task(gen(), label=label)
-
-
-# ------------------------------------------------------------------ FEB
-def test_feb_starts_empty():
-    feb = Feb()
-    assert not feb.full
-    ok, _ = feb.try_read(consume=False)
-    assert not ok
-
-
-def test_writef_fills_unconditionally():
-    feb = Feb()
-    assert feb.try_write(1, require_empty=False)
-    assert feb.try_write(2, require_empty=False)  # overwrite allowed
-    assert feb.value == 2
-
-
-def test_writeef_requires_empty():
-    feb = Feb()
-    assert feb.try_write(1, require_empty=True)
-    assert not feb.try_write(2, require_empty=True)
-    assert feb.value == 1
-
-
-def test_readff_leaves_full():
-    feb = Feb(value=42, full=True)
-    ok, value = feb.try_read(consume=False)
-    assert ok and value == 42
-    assert feb.full
-
-
-def test_readfe_consumes():
-    feb = Feb(value=42, full=True)
-    ok, value = feb.try_read(consume=True)
-    assert ok and value == 42
-    assert not feb.full
-    ok, _ = feb.try_read(consume=True)
-    assert not ok
-
-
-def test_purge_empties():
-    feb = Feb(value=1, full=True)
-    feb.purge()
-    assert not feb.full
-    assert feb.value is None
-
-
-def test_initially_full_construction():
-    feb = Feb(value="ready", full=True)
-    ok, value = feb.try_read(consume=False)
-    assert ok and value == "ready"
 
 
 # --------------------------------------------------------------- queues

@@ -4,13 +4,6 @@ import pytest
 
 from repro.errors import DeadlockError, SimulationError
 from repro.qthreads import (
-    Barrier,
-    Feb,
-    FebReadFE,
-    FebReadFF,
-    FebWriteEF,
-    FebWriteF,
-    Future,
     RegionBoundary,
     Spawn,
     Taskwait,
@@ -105,118 +98,29 @@ def test_yield_requeues_task():
     assert order == ["spawned", "resumed"]
 
 
-def test_feb_write_then_read():
-    rt = make_runtime(4)
-    feb = Feb(name="x")
+def test_deadlock_detection(monkeypatch):
+    """A spawned child that never reaches a queue strands its parent."""
+    rt = make_runtime(2)
+    enqueue = rt.scheduler.enqueue
 
-    def producer():
+    def drop_children(task, shepherd_id, *, cold=False):
+        if task.parent is None:
+            enqueue(task, shepherd_id, cold=cold)
+
+    monkeypatch.setattr(rt.scheduler, "enqueue", drop_children)
+
+    def lost():
         yield Work(0.01)
-        yield FebWriteEF(feb, 42)
-        return None
 
     def program():
-        yield Spawn(producer())
-        value = yield FebReadFF(feb)
+        yield Spawn(lost(), label="lost")
         yield Taskwait()
-        return value
 
-    assert rt.run(program()).result == 42
-
-
-def test_feb_readfe_consumes_and_unblocks_writer():
-    rt = make_runtime(4)
-    feb = Feb(name="slot")
-    log = []
-
-    def producer(value):
-        yield FebWriteEF(feb, value)  # second producer must wait for empty
-        log.append(f"wrote{value}")
-        return None
-
-    def consumer():
-        value = yield FebReadFE(feb)
-        log.append(f"took{value}")
-        return value
-
-    def program():
-        yield Spawn(producer(1))
-        yield Spawn(producer(2))
-        c1 = yield Spawn(consumer())
-        c2 = yield Spawn(consumer())
-        yield Taskwait()
-        return sorted([c1.result, c2.result])
-
-    assert rt.run(program()).result == [1, 2]
-
-
-def test_febwritef_overwrites():
-    rt = make_runtime(2)
-    feb = Feb()
-
-    def program():
-        yield FebWriteF(feb, "a")
-        yield FebWriteF(feb, "b")
-        value = yield FebReadFF(feb)
-        return value
-
-    assert rt.run(program()).result == "b"
-
-
-
-def test_febwritef_wakes_blocked_reader():
-    rt = make_runtime(2)
-    gate = Feb(name="gate")
-
-    def waiter():
-        value = yield FebReadFF(gate)  # parks: the word starts empty
-        return value
-
-    def program():
-        handle = yield Spawn(waiter())
-        yield Work(0.005)
-        yield FebWriteF(gate, 42)
-        yield Taskwait()
-        return handle.result
-
-    assert rt.run(program()).result == 42
-
-
-def test_feb_pipeline_preserves_order():
-    """One slot, written EF and consumed FE, hands values over in order."""
-    rt = make_runtime(4)
-    slot = Feb(name="slot")
-    consumed = []
-
-    def producer():
-        for i in range(5):
-            yield FebWriteEF(slot, i)
-        return None
-
-    def consumer():
-        for _ in range(5):
-            value = yield FebReadFE(slot)
-            consumed.append(value)
-        return len(consumed)
-
-    def program():
-        yield Spawn(producer())
-        handle = yield Spawn(consumer())
-        yield Taskwait()
-        return handle.result
-
-    assert rt.run(program()).result == 5
-    assert consumed == [0, 1, 2, 3, 4]
-
-def test_deadlock_detection():
-    rt = make_runtime(2)
-    feb = Feb(name="never-filled")
-
-    def program():
-        value = yield FebReadFF(feb)
-        return value
-
-    with pytest.raises(DeadlockError):
-        rt.run(program())
+    with pytest.raises(DeadlockError) as err:
+        rt.run(program(), label="stuck-root")
+    message = str(err.value)
+    assert "root task 'stuck-root' incomplete: 1 pending child" in message
+    assert "queue depths [0, 0], 0 spinning worker" in message
 
 
 def test_time_limit_enforced():
@@ -228,58 +132,6 @@ def test_time_limit_enforced():
 
     with pytest.raises(SimulationError):
         rt.run(program(), time_limit_s=1.0)
-
-
-def test_barrier_releases_all():
-    rt = make_runtime(8)
-    barrier = Barrier(4, name="b")
-    released = []
-
-    def member(i):
-        yield Work(0.001 * (i + 1))
-        yield from barrier.wait()
-        released.append(i)
-        return i
-
-    def program():
-        handles = []
-        for i in range(4):
-            handle = yield Spawn(member(i))
-            handles.append(handle)
-        yield Taskwait()
-        return [h.result for h in handles]
-
-    res = rt.run(program())
-    assert sorted(res.result) == [0, 1, 2, 3]
-    assert len(released) == 4
-
-
-def test_barrier_overfill_rejected():
-    from repro.errors import SchedulerError
-
-    barrier = Barrier(1)
-    gen = barrier.wait()
-    next(gen, None)
-    with pytest.raises(SchedulerError):
-        list(barrier.wait())
-
-
-def test_future_set_get():
-    rt = make_runtime(4)
-    future = Future(name="f")
-
-    def producer():
-        yield Work(0.01)
-        yield from future.set(123)
-        return None
-
-    def program():
-        yield Spawn(producer())
-        value = yield from future.get()
-        yield Taskwait()
-        return value
-
-    assert rt.run(program()).result == 123
 
 
 def test_region_boundary_is_noop_without_throttling():

@@ -1,12 +1,11 @@
-"""Stateful/property tests: queues and FEBs against reference models,
-random task graphs against global invariants."""
+"""Stateful/property tests: queues against a reference model, random
+task graphs against global invariants."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.qthreads import Spawn, Taskwait, Work
-from repro.qthreads.feb import Feb
 from repro.qthreads.queues import WorkQueue
 from repro.qthreads.task import Task
 from tests.conftest import make_runtime
@@ -62,57 +61,6 @@ class QueueModel(RuleBasedStateMachine):
 TestQueueModel = QueueModel.TestCase
 TestQueueModel.settings = settings(max_examples=30, stateful_step_count=30,
                                    deadline=None)
-
-
-class FebModel(RuleBasedStateMachine):
-    """Feb primitive transitions vs a (full, value) reference model."""
-
-    def __init__(self):
-        super().__init__()
-        self.feb = Feb()
-        self.full = False
-        self.value = None
-
-    @rule(v=st.integers())
-    def write_f(self, v):
-        assert self.feb.try_write(v, require_empty=False)
-        self.full, self.value = True, v
-
-    @rule(v=st.integers())
-    def write_ef(self, v):
-        ok = self.feb.try_write(v, require_empty=True)
-        assert ok == (not self.full)
-        if ok:
-            self.full, self.value = True, v
-
-    @rule()
-    def read_ff(self):
-        ok, got = self.feb.try_read(consume=False)
-        assert ok == self.full
-        if ok:
-            assert got == self.value
-
-    @rule()
-    def read_fe(self):
-        ok, got = self.feb.try_read(consume=True)
-        assert ok == self.full
-        if ok:
-            assert got == self.value
-            self.full, self.value = False, None
-
-    @rule()
-    def purge(self):
-        self.feb.purge()
-        self.full, self.value = False, None
-
-    @invariant()
-    def state_agrees(self):
-        assert self.feb.full == self.full
-
-
-TestFebModel = FebModel.TestCase
-TestFebModel.settings = settings(max_examples=30, stateful_step_count=40,
-                                 deadline=None)
 
 
 # ------------------------------------------------------ random task graphs

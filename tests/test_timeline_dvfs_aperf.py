@@ -1,15 +1,12 @@
-"""Timeline probe, APERF/MPERF counters, and the DVFS energy controller."""
+"""Timeline probe and APERF/MPERF counters."""
 
 import pytest
 
 from repro.analysis.timeline import Timeline, TimelineProbe, TimelineSample
-from repro.config import ThrottleConfig
 from repro.errors import MeasurementError
 from repro.hw.core import Segment
 from repro.hw.msr import IA32_APERF, IA32_MPERF
 from repro.qthreads import Spawn, Taskwait, Work
-from repro.rcr import Blackboard, RCRDaemon
-from repro.throttle import DvfsEnergyController, ThrottleController
 from tests.conftest import make_runtime
 
 
@@ -106,70 +103,3 @@ def test_probe_lifecycle_errors():
     with pytest.raises(MeasurementError):
         TimelineProbe(rt.engine, rt.node, period_s=0.0)
 
-
-# ------------------------------------------------------ DVFS controller
-def _hot_contended_program(chunks=600):
-    def body():
-        yield Work(0.01, mem_fraction=0.55, power_scale=1.5)
-        return 1
-
-    def program():
-        handles = []
-        for _ in range(chunks):
-            handle = yield Spawn(body())
-            handles.append(handle)
-        yield Taskwait()
-        return len(handles)
-
-    return program()
-
-
-def _run_with(controller_cls, **kwargs):
-    rt = make_runtime(16)
-    bb = Blackboard()
-    daemon = RCRDaemon(rt.engine, rt.node, bb)
-    daemon.start()
-    controller = controller_cls(
-        rt.engine, rt.scheduler, bb, ThrottleConfig(enabled=True), **kwargs
-    )
-    controller.start()
-    res = rt.run(_hot_contended_program())
-    controller.stop()
-    return res, controller
-
-
-def test_dvfs_controller_engages_and_scales_all_cores():
-    res, controller = _run_with(DvfsEnergyController)
-    assert any(d.throttle for d in controller.decisions)
-    assert controller.actuator.transitions >= 2  # down and (at stop) up
-
-
-def test_dvfs_controller_saves_power_but_costs_more_time_than_maestro():
-    """The paper's argument, quantified: same policy, different actuator.
-    Chip-global DVFS slows the useful threads too, so for a comparable
-    power cut it pays more time than concurrency throttling."""
-    rt = make_runtime(16)
-    baseline = rt.run(_hot_contended_program())
-
-    duty_res, duty_ctrl = _run_with(ThrottleController)
-    dvfs_res, dvfs_ctrl = _run_with(DvfsEnergyController)
-
-    assert duty_res.avg_power_w < baseline.avg_power_w
-    assert dvfs_res.avg_power_w < baseline.avg_power_w
-    assert dvfs_res.elapsed_s > duty_res.elapsed_s
-    # Energy-delay: concurrency throttling dominates.
-    assert (duty_res.energy_j * duty_res.elapsed_s
-            < dvfs_res.energy_j * dvfs_res.elapsed_s)
-
-
-def test_dvfs_controller_validation():
-    rt = make_runtime(2)
-    bb = Blackboard()
-    with pytest.raises(MeasurementError):
-        DvfsEnergyController(rt.engine, rt.scheduler, bb,
-                             ThrottleConfig(enabled=True), ratio=1.5)
-    controller = DvfsEnergyController(rt.engine, rt.scheduler, bb,
-                                      ThrottleConfig(enabled=True))
-    controller.start()
-    with pytest.raises(MeasurementError):
-        controller.start()

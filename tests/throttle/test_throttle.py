@@ -9,9 +9,7 @@ from repro.qthreads import Work, Spawn, Taskwait
 from repro.rcr import Blackboard, RCRDaemon, meters
 from repro.throttle import (
     Band,
-    DutyCycleActuator,
     DvfsActuator,
-    OsIdleActuator,
     ThrottleController,
     ThrottlePolicy,
     classify,
@@ -185,17 +183,6 @@ def test_throttled_thread_count_respected():
 
 
 # --------------------------------------------------------------- actuators
-def test_duty_cycle_actuator(engine, node):
-    actuator = DutyCycleActuator(node)
-    actuator.set_duty(3, 1 / 32)
-    engine.run()
-    assert node.cores[3].duty == pytest.approx(1 / 32)
-    actuator.restore(3)
-    engine.run()
-    assert node.cores[3].duty == 1.0
-    assert actuator.writes == 2
-
-
 def test_dvfs_actuator_is_socket_global_and_slow(engine, node):
     actuator = DvfsActuator(node)
     actuator.set_frequency_ratio(0, 0.5)
@@ -215,14 +202,6 @@ def test_dvfs_rejects_bad_ratio(engine, node):
 
     with pytest.raises(SimulationError):
         DvfsActuator(node).set_frequency_ratio(0, 1.5)
-
-
-def test_os_idle_actuator(engine, node):
-    actuator = OsIdleActuator(node)
-    actuator.park(5)
-    assert node.cores[5].state is CoreState.OFF
-    actuator.unpark(5)
-    assert node.cores[5].state is CoreState.IDLE
 
 
 def test_os_off_saves_more_than_spin(engine, node):
