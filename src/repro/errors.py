@@ -23,8 +23,8 @@ class SchedulerError(ReproError):
 class DeadlockError(SimulationError):
     """Raised when the simulation can make no further progress.
 
-    Typical cause: every worker is blocked on a full/empty bit that no
-    runnable task will ever write.
+    Typical cause: a task waits in a taskwait on a child that was never
+    enqueued, so no worker can ever run it.
     """
 
 

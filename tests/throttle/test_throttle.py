@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.config import MemoryConfig, ThrottleConfig
-from repro.hw.core import CoreState, Segment
 from repro.qthreads import Work, Spawn, Taskwait
-from repro.rcr import Blackboard, RCRDaemon, meters
+from repro.rcr import Blackboard, RCRDaemon
 from repro.throttle import (
     Band,
     DvfsActuator,

@@ -11,15 +11,17 @@ runs entered, and exits 1 if one of them is missing from
 a run failed.
 
 The runs work on a throwaway copy of ``src/`` (``recalibrate`` rewrites a
-module in place) in one temporary directory, removed at exit.  A generated
-``sitecustomize.py`` leads their ``PYTHONPATH``, so every interpreter they
-start installs the recorder before ``repro`` is imported.  The recorder is a
-``sys.setprofile`` hook, set for every later thread through
-``threading.setprofile``, that keeps the code object of each call.  A
-process writes the code it entered when its interpreter exits.  A forked
-child (a harness ``SpecWorker``, any fork-started ``multiprocessing``
-process) writes from an ``os._exit`` wrapper, since that is how such a child
-ends.  A process killed by a signal writes nothing.  Nothing under ``src/repro`` knows of the census.
+module in place) in one temporary directory.  A census that passes removes
+it; one that fails keeps it, with the calls recorded so far and the log of
+the last run.  A generated ``sitecustomize.py`` leads the runs'
+``PYTHONPATH``, so every interpreter they start installs the recorder
+before ``repro`` is imported.  The recorder is a ``sys.setprofile`` hook,
+set for every later thread through ``threading.setprofile``, that keeps the
+code object of each call.  A process writes the code it entered when its
+interpreter exits.  A forked child (a harness ``SpecWorker``, any
+fork-started ``multiprocessing`` process) writes from an ``os._exit``
+wrapper, since that is how such a child ends.  A process killed by a signal
+writes nothing.  Nothing under ``src/repro`` knows of the census.
 
 ``tools/census_allow.txt`` holds one entry per line, ``name: reason``.  The
 name is a module, a class or a function in dotted form (a nested function
@@ -30,7 +32,6 @@ or covers only functions the census saw called.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import atexit
 import os
@@ -50,6 +51,9 @@ ALLOW = ROOT / "tools" / "census_allow.txt"
 
 #: Where a recorded interpreter writes its ``*.calls`` file.
 OUT_ENV = "CENSUS_OUT"
+
+#: Longest any one run may take (``reproduce --quick`` is the slowest).
+RUN_TIMEOUT_S = 1800.0
 
 SITECUSTOMIZE = f"""\
 import importlib.util, os
@@ -173,15 +177,14 @@ def called(work: Path) -> set[tuple[str, int]]:
     return seen
 
 
-def run(argv: list[str], work: Path, env: Mapping[str, str],
-        timeout_s: float = 1800.0) -> None:
+def run(argv: list[str], work: Path, env: Mapping[str, str]) -> None:
     """Run ``python argv`` recorded, in ``work/run``; raise if it fails."""
     log = work / "run.log"
     start = time.monotonic()
     with open(log, "w") as out:
         code = subprocess.run([sys.executable, *argv], cwd=work / "run", env=env,
                               stdout=out, stderr=subprocess.STDOUT,
-                              timeout=timeout_s).returncode
+                              timeout=RUN_TIMEOUT_S).returncode
     print(f"{time.monotonic() - start:7.1f} s  {' '.join(argv)}", flush=True)
     if code != 0:
         tail = log.read_text().splitlines()[-20:]
@@ -296,31 +299,16 @@ def review(functions: Mapping[tuple[str, int], str], seen: set[tuple[str, int]],
     return uncalled, unallowed, errors
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--keep", default=None, metavar="DIR",
-                        help="work in DIR (must not exist) and keep it")
-    parser.add_argument("--reuse", default=None, metavar="DIR",
-                        help="skip the runs: judge the calls a --keep census "
-                             "recorded in DIR against the allow-list")
-    args = parser.parse_args(argv)
-    if args.reuse:
-        work = Path(args.reuse).resolve()
-        functions, seen = defined_functions(work / "src"), called(work)
-    else:
-        work = Path(args.keep or tempfile.mkdtemp(prefix="repro-census-")).resolve()
-        work.mkdir(exist_ok=True)
-        try:
-            run_all(work, prepare(work))
-            functions, seen = defined_functions(work / "src"), called(work)
-        except (RuntimeError, subprocess.TimeoutExpired) as exc:
-            print(f"census run failed: {exc}", file=sys.stderr)
-            return 1
-        finally:
-            if not args.keep:
-                shutil.rmtree(work, ignore_errors=True)
+def main() -> int:
+    work = Path(tempfile.mkdtemp(prefix="repro-census-"))
+    try:
+        run_all(work, prepare(work))
+    except (RuntimeError, subprocess.TimeoutExpired) as exc:
+        print(f"census run failed: {exc}\nkept {work}", file=sys.stderr)
+        return 1
 
-    uncalled, unallowed, errors = review(functions, seen, ALLOW.read_text())
+    functions = defined_functions(work / "src")
+    uncalled, unallowed, errors = review(functions, called(work), ALLOW.read_text())
     print(f"\n{len(functions)} functions under src/repro, "
           f"{len(functions) - len(uncalled)} called, {len(uncalled)} uncalled, "
           f"{len(uncalled) - len(unallowed)} of them allow-listed")
@@ -328,8 +316,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"uncalled, not allow-listed: {name}")
     for error in errors:
         print(f"allow-list: {error}")
-    return 1 if unallowed or errors else 0
-
+    if unallowed or errors:
+        print(f"kept the runs and their recorded calls in {work}")
+        return 1
+    shutil.rmtree(work, ignore_errors=True)
+    return 0
 
 if __name__ == "__main__":
     sys.exit(main())
